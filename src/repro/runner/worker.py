@@ -13,6 +13,7 @@ import contextlib
 import os
 import time
 
+from repro.core.faults import crash_once
 from repro.runner.tasks import TaskSpec
 
 __all__ = ["execute_task"]
@@ -27,18 +28,9 @@ CRASH_ONCE_ENV = "REPRO_RUNNER_CRASH_ONCE"
 
 
 def _maybe_crash(exp_id: str) -> None:
-    hook = os.environ.get(CRASH_ONCE_ENV, "")
-    if not hook:
-        return
-    target, _, sentinel = hook.partition(":")
-    if exp_id != target or not sentinel:
-        return
-    if sentinel == "always":
-        os._exit(17)
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
-        os._exit(17)
+    target, _, sentinel = os.environ.get(CRASH_ONCE_ENV, "").partition(":")
+    if sentinel and exp_id == target:
+        crash_once(sentinel)
 
 
 def _shard_scope(spec: TaskSpec):

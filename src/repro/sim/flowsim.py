@@ -27,6 +27,7 @@ the paper's mean/stdev/min/max statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,11 +39,10 @@ from repro.net.path import NetworkPath
 from repro.net.switch import SharedBufferQueue, SwitchModel
 from repro.sim.bottleneck import maxmin_allocate
 from repro.sim.cpumodel import CpuCostModel
-from repro.sim.kernels import make_kernel
+from repro.sim.kernels import TickKernel, make_kernel
 from repro.sim.lossmodel import BurstModel, concentrate_drops, flow_release_slack
 from repro.sim.metrics import MetricsAccumulator, RunResult
-from repro.sim.sanitizer import SimSanitizer
-from repro.sim.sanitizer import enabled as sanitizer_enabled
+from repro.sim.sanitizer import SimSanitizer, enabled as sanitizer_enabled
 from repro.tcp.cc import make_cc
 from repro.tcp.pacing import PacingConfig
 from repro.tcp.segment import SegmentGeometry
@@ -52,7 +52,7 @@ from repro.trace.bus import active as trace_active
 from repro.trace.ledger import FlowConservationLedger
 from repro.trace.probes import mpstat_probe, nic_probe, socket_probe
 
-__all__ = ["FlowSpec", "SimProfile", "FlowSimulator"]
+__all__ = ["FlowSpec", "SimProfile", "FlowSimulator", "RunSetup", "FlowLanes"]
 
 #: Receiver aggregate ceiling degradation on large-window (WAN) workloads:
 #: hundred-MB receive backlogs defeat the LLC and DDIO, costing up to
@@ -109,6 +109,461 @@ class SimProfile:
         return cls(duration=6.0, tick=0.004, omit=1.5)
 
 
+class RunSetup:
+    """One run's set-up and per-tick link step, shared by both engines.
+
+    :meth:`FlowSimulator.run` and the sharded engine each build one from
+    their own RNG streams, whose labels stay per engine (``hostjitter``
+    vs ``shard:hostjitter``), so no draw changes stream or order.  The
+    per-tick methods are the cross-flow link physics; each engine feeds
+    them flow sums taken in its own reduction order.
+
+    ``groups`` are ``(spec, count)`` pairs sharing one sender and one
+    receiver cost model.  ``pads`` inert flows (copying, unpaced, cubic,
+    slack 0) fill the sharded engine's last block; they are left out of
+    ``n`` and of the aggregate-ceiling mins.
+    """
+
+    def __init__(
+        self,
+        sender: Host,
+        receiver: Host,
+        path: NetworkPath,
+        groups: Sequence[tuple[FlowSpec, int]],
+        profile: SimProfile,
+        *,
+        rng: RngFactory,
+        rep: int,
+        jitter_rng: np.random.Generator,
+        place_rng: np.random.Generator,
+        bg_rng: np.random.Generator,
+        context: str,
+        pads: int = 0,
+    ) -> None:
+        self.n = n = sum(count for _, count in groups)
+        self.path, self.profile, self.bg_rng = path, profile, bg_rng
+        self.dt = dt = profile.tick
+        self.n_ticks = int(round(profile.duration / dt))
+        self.steps_per_bg = max(1, int(round(0.02 / dt)))  # resample bg every ~20 ms
+
+        self.san = san = (
+            SimSanitizer(context=f"{context} rep={rep}")
+            if sanitizer_enabled()
+            else None
+        )
+        if san is not None:
+            san.check_stream_registry(rng)
+        # The ambient trace bus (if one is installed) receives events
+        # and probes.  Every emission is observational — no RNG draws,
+        # no state the simulated numbers depend on.
+        self.bus = bus = trace_active()
+        self.want_probe = bus is not None and bus.wants("probe")
+        self.probe_stride = (
+            max(1, int(round(bus.probe_interval / dt))) if self.want_probe else 0
+        )
+        # With no trace bus and no sanitizer attached, an offer that a
+        # queue passes straight through (empty queue, arrivals within
+        # the drain) has no observable effect besides its return value,
+        # so the method call can be elided with the same numbers.
+        self.fast_q = bus is None and san is None
+
+        snd_place = sender.resolved_placement(place_rng)
+        rcv_place = receiver.resolved_placement(place_rng)
+        geom = SegmentGeometry(
+            mtu=sender.tuning.mtu,
+            gso_size=sender.effective_gso_size(),
+            gro_size=receiver.effective_gro_size(),
+        )
+        sockets = SocketProfile.from_sysctls(sender.sysctls, receiver.sysctls)
+
+        # Per-flow cost models, pacing caps, and burst slacks, one group
+        # at a time (``slack_for`` draws nothing, so any stream serves).
+        slack_model = BurstModel(rng=place_rng)
+        models: list[tuple[CpuCostModel, CpuCostModel]] = []
+        self.send_models: list[CpuCostModel] = []
+        self.recv_models: list[CpuCostModel] = []
+        self.kinds: list[str] = []
+        pace_parts: list[np.ndarray] = []
+        slack_parts: list[np.ndarray] = []
+        for spec, count in [*groups, (FlowSpec(), pads)]:
+            tx = CpuCostModel(sender, geom, snd_place, zerocopy=spec.zerocopy)
+            rx = CpuCostModel(receiver, geom, rcv_place, skip_rx_copy=spec.skip_rx_copy)
+            models.append((tx, rx))
+            self.send_models += [tx] * count
+            self.recv_models += [rx] * count
+            self.kinds += [spec.cc] * count
+            pacing = spec.pacing
+            rate = pacing.effective_rate() if pacing.enabled else np.inf
+            pace_parts.append(np.full(count, rate))
+            slack = flow_release_slack(pacing, spec.zerocopy, slack_model)
+            slack_parts.append(np.full(count, slack))
+        self.pace_eff = np.concatenate(pace_parts)
+        self.slacks = np.concatenate(slack_parts)
+        self.slacks[n:] = 0.0  # pads never emit trains
+        del models[-1]  # the pads' models bound no ceiling
+
+        # Run-to-run hardware/placement jitter: a single multiplicative
+        # factor per run on CPU-derived limits (thermal/clock/scheduler
+        # noise plus any VM overhead noise).
+        run_noise = 1.0 + jitter_rng.normal(
+            0.0, 0.012 + sender.vm.jitter + receiver.vm.jitter
+        )
+        run_noise = float(np.clip(run_noise, 0.85, 1.15))
+        agg_tx = min(tx.aggregate_tx_ceiling() for tx, _ in models) * run_noise
+        agg_rx_base = min(rx.aggregate_rx_ceiling() for _, rx in models) * run_noise
+        self.agg_rx_base = agg_rx_base
+        self.budget_tx = sender.core_cycles_per_sec() * run_noise
+        self.budget_rx = receiver.core_cycles_per_sec() * run_noise
+        # The tick kernel's run constants; flows spread over the app/IRQ
+        # core sets.
+        self.kernel_args = dict(
+            run_noise=run_noise,
+            snd_app_share=min(1.0, len(snd_place.app_cores) / n),
+            rcv_app_share=min(1.0, len(rcv_place.app_cores) / n),
+            rcv_irq_share=min(1.0, len(rcv_place.irq_cores) / n),
+            budget_rx=self.budget_rx,
+            agg_rx_base=agg_rx_base,
+        )
+
+        # Queues: bottleneck switch buffer, then the receiver NIC ring.
+        # The backbone switch queue always tail-drops: even on
+        # flow-control paths, 802.3x protects only the receiver's access
+        # link — backbone congestion still loses packets.
+        eff = geom.wire_efficiency
+        path_cap_good = path.capacity * eff
+        backbone = SwitchModel(
+            model=path.switch.model,
+            shared_buffer_bytes=path.switch.shared_buffer_bytes,
+            supports_flow_control=False,
+        )
+        self.q_switch = SharedBufferQueue(backbone, drain_rate=path_cap_good)
+        ring_switch = SwitchModel(
+            model="rx-ring",
+            shared_buffer_bytes=receiver.rx_ring_bytes(),
+            supports_flow_control=path.flow_control,
+        )
+        self.q_ring = SharedBufferQueue(ring_switch, drain_rate=path_cap_good)
+
+        # Loop invariants, hoisted.  Every quantity below is a pure
+        # function of run-constant inputs (or of the background sample,
+        # which only changes in the resample branch), so the per-tick
+        # values are bit-identical to recomputing them inside the loop.
+        self.base_rtt = path.rtt_sec
+        self.mss = geom.mss
+        self.react10 = 10 * geom.mss
+        self.fp_floor = 64 * geom.gso_size
+        self.fp_cap = sockets.max_send_window * 2.0
+        self.max_window = sockets.max_window
+        self.l3_20 = 20.0 * receiver.cpu.l3_effective_bytes
+        self.n_exposure = min(1.0, n / 4.0)
+        self.eff = eff
+        self.physical = physical = path.bottleneck.rate_bytes_per_sec
+        self.cap_floor = cap_floor = 0.05 * path_cap_good
+        bg_mean = path.background.mean_bytes_per_sec
+        cap_avg = max(cap_floor, min(path.capacity, physical - bg_mean) * eff)
+        self.capacity = min(cap_avg, agg_tx)
+        self.line1_den = max(min(sender.nic.speed_bytes_per_sec, physical) * eff, 1.0)
+        self.line2_den = max(physical * eff, 1.0)
+        self.buf1 = path.switch.shared_buffer_bytes
+        self.buf2 = receiver.rx_ring_bytes()
+        self.bg_active = path.background.active
+        self.flow_control = path.flow_control
+        # All-fq-paced runs draw burst randomness but multiply it away
+        # (slack 0); hoist that check out of the loop.
+        self.all_smooth = not bool(self.slacks.any())
+        self._set_background(0.0)
+
+    # -- per-tick link step ----------------------------------------------
+
+    def _set_background(self, bg_sample: float) -> None:
+        self.cap_net = max(
+            self.cap_floor,
+            min(self.path.capacity, self.physical - bg_sample) * self.eff,
+        )
+        self.fill1 = max(0.0, 1.0 - self.cap_net / self.line1_den)
+
+    def begin_tick(self, step: int, now: float) -> float:
+        """Start tick ``step`` at time ``now``; return its RTT."""
+        if self.bus is not None:
+            self.bus.set_time(now)
+        if self.san is not None:
+            self.san.check_time(now)
+        if self.bg_active and step % self.steps_per_bg == 0:
+            self._set_background(
+                float(self.path.background.sample(self.bg_rng, 1)[0])
+            )
+        q = self.q_switch
+        return self.base_rtt + q.occupancy / max(q.drain_rate, 1.0)
+
+    def rx_drain(self, total_foot: float, noise_z: float, rcv_total: float) -> float:
+        """The NIC ring's drain rate this tick.
+
+        The receiver's aggregate ceiling is deliberately NOT part of the
+        allocation: senders do not know it.  It appears as the ring
+        drain, so exceeding it costs losses (the paper's >120 Gbps WAN
+        interference), not a clean cap.  Exposure grows with the total
+        receive working set ``total_foot`` and with the number of
+        competing receiver processes — one stream cannot thrash the LLC
+        the way eight iperf3 threads do.  The ceiling is noisy tick to
+        tick (``noise_z``; LLC/memory-controller contention, softirq
+        scheduling): flows operating close to it keep clipping the dips,
+        which is where the paper's sustained WAN retransmit counts come
+        from.  ``rcv_total`` is the sum of per-flow receiver CPU limits.
+        """
+        rx_exposure = min(1.0, total_foot / self.l3_20) * self.n_exposure
+        z = noise_z if -2.5 <= noise_z <= 2.5 else (-2.5 if noise_z < -2.5 else 2.5)
+        rx_noise = 1.0 + RX_CEILING_NOISE * rx_exposure * z
+        agg_rx = self.agg_rx_base * (1.0 - WAN_RX_AGG_PENALTY * rx_exposure) * rx_noise
+        return min(agg_rx, rcv_total)
+
+    def offer_switch(
+        self, offered: float, trains: np.ndarray, tick_per_rtt: float
+    ) -> tuple[float, float, float]:
+        """Offer this tick's bytes to the switch buffer.
+
+        Returns ``(dropped, overflow, trains_total)``: the standing-queue
+        tail drop, the packet-train overflow volume, and the train sum
+        it came from (0.0 when the overflow is skipped).
+        """
+        q = self.q_switch
+        dropped = self._offer(q, "switch-buffer", offered, self.cap_net, False)
+        overflow, total = self._overflow(trains, self.fill1, self.buf1, q, tick_per_rtt)
+        return dropped, overflow, total
+
+    def offer_ring(
+        self, offered: float, drain: float, trains: np.ndarray, tick_per_rtt: float
+    ) -> tuple[float, float, float]:
+        """Offer the switch's survivors to the NIC ring.
+
+        Same return shape as :meth:`offer_switch`.  The ring drains at
+        what the receiver actually consumes; trains arrive at the path's
+        bottleneck line rate.  With 802.3x flow control, pause frames
+        hold the overflow upstream and nothing is dropped at the ring.
+        """
+        q = self.q_ring
+        dropped = self._offer(q, "rx-ring", offered, drain, self.flow_control)
+        if self.flow_control:
+            return 0.0, 0.0, 0.0
+        fill = max(0.0, 1.0 - drain / self.line2_den)
+        overflow, total = self._overflow(trains, fill, self.buf2, q, tick_per_rtt)
+        return dropped, overflow, total
+
+    def _offer(
+        self, q: SharedBufferQueue, label: str, offered: float, drain: float, fc: bool
+    ) -> float:
+        q.drain_rate = drain
+        before = q.occupancy
+        # Exact == 0.0 is intentional: offer() assigns occupancy = 0.0
+        # exactly when the queue empties, and the elision is only valid
+        # in that exact state.  offer() would serve everything from an
+        # empty queue: delivered = arrivals, no state change, nothing to
+        # trace.  Same numbers as the call, minus the call.
+        if self.fast_q and before == 0.0 and offered <= drain * self.dt:  # repro: noqa-FLOAT001
+            return 0.0
+        delivered, dropped = q.offer(offered, self.dt)
+        if self.san is not None:
+            self.san.account_link(
+                label, offered=offered, delivered=delivered, dropped=dropped,
+                queue_before=before, queue_after=q.occupancy, flow_control=fc,
+            )
+        return dropped
+
+    def _overflow(
+        self, trains: np.ndarray, fill: float, buf: float, q: SharedBufferQueue,
+        tick_per_rtt: float,
+    ) -> tuple[float, float]:
+        # Packet trains are per-RTT time-compression: each RTT a train of
+        # V_i bytes arrives at line rate; the fraction the drain cannot
+        # absorb (``fill``) deposits into the buffer, and the part beyond
+        # the free headroom is tail-dropped.  Train overflow is converted
+        # to a per-tick drop volume by dt/rtt.  ``all_smooth`` ticks have
+        # all-zero trains, so the overflow reduces to max(0, -headroom)
+        # == 0; skipping the sum changes nothing.
+        if fill > 0.0 and not self.all_smooth:
+            total = float(np.add.reduce(trains))
+            headroom = max(0.0, buf - q.occupancy)
+            return max(0.0, total * fill - headroom) * tick_per_rtt, total
+        return 0.0, 0.0
+
+    def record_tick(
+        self, metrics: MetricsAccumulator, delivered: np.ndarray,
+        retr_segments: float, loss_events: int, sums: Sequence, delivered_sum: float,
+    ) -> tuple[float, float, float, float]:
+        """Record one tick given its :meth:`FlowLanes.cpu_costs` sums.
+
+        Returns the (tx app, tx irq, rx app, rx irq) loads in cores,
+        summed over flows.
+        """
+        n = self.n
+        tx_app = float(sums[0]) / self.budget_tx
+        tx_irq = float(sums[1]) / self.budget_tx
+        rx_app = float(sums[2]) / self.budget_rx
+        rx_irq = float(sums[3]) / self.budget_rx
+        metrics.record_tick(
+            self.dt, delivered, retr_segments, loss_events,
+            (tx_app / n, tx_irq / n, rx_app / n, rx_irq / n), float(sums[4]) / n,
+            delivered_sum=delivered_sum,
+        )
+        return tx_app, tx_irq, rx_app, rx_irq
+
+    # -- run events ------------------------------------------------------
+
+    def emit_run_start(self, rep: int) -> None:
+        if self.bus is not None:
+            self.bus.emit(
+                "run", "run.start", rep=rep, flows=self.n, path=self.path.name,
+                duration=self.profile.duration, tick=self.dt,
+                rtt_ms=units.seconds_to_ms(self.base_rtt),
+                flow_control=self.flow_control,
+            )
+
+    def emit_run_end(self, rep: int, result: RunResult) -> None:
+        if self.bus is not None:
+            self.bus.emit(
+                "run", "run.end", rep=rep, flows=self.n,
+                gbps=round(result.total_gbps, 6),
+                retransmit_segments=round(result.retransmit_segments, 3),
+                loss_events=result.loss_events,
+            )
+
+
+class FlowLanes:
+    """The per-lane formulas both engines evaluate, over one set of lanes.
+
+    :meth:`FlowSimulator.run` holds one over all its flows; each shard
+    worker holds one over its own lanes.  It pairs the tick kernel with
+    the scratch buffers and run constants the formulas need.  Every
+    buffer is fully rewritten each tick before its first read, and
+    ``out=`` only changes where results land, never their bits.  (min
+    and max are exact and commutative here — both operands are ordinary
+    positive floats, so swapped-argument ties return identical bits;
+    ``c * x`` rounds as ``x * c``.)
+    """
+
+    def __init__(self, kern: TickKernel, setup: RunSetup, pace_eff: np.ndarray) -> None:
+        m = kern.n
+        self.kern = kern
+        self.pace_eff = pace_eff
+        self.dt = setup.dt
+        self.react10 = setup.react10
+        self.fp_floor = setup.fp_floor
+        self.fp_cap = setup.fp_cap
+        self.max_window = setup.max_window
+        self.wr = np.empty(m)
+        self.foot = np.empty(m)
+        self.caps = np.empty(m)
+        self.drate = np.empty(m)
+        self.scratch = np.empty(m)
+        self.mask_b1 = np.empty(m, dtype=bool)
+        self.mask_b2 = np.empty(m, dtype=bool)
+
+    def rate_caps(
+        self, rtt: float, prev_alloc: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """This tick's per-flow rate caps: window, pacing, CPU limits.
+
+        Returns ``(pace, footprint, rcv_limit, caps)``; the window rate
+        stays in ``self.wr`` for :meth:`cc_feedback`.
+        """
+        kern = self.kern
+        cwnd = kern.cwnd
+        window_rate = np.divide(cwnd, max(rtt, 1e-6), out=self.wr)
+        pace = kern.pacing(rtt, self.pace_eff)
+        # Working set the sender actually touches: the in-flight bytes
+        # (~rate*RTT) plus qdisc/socket slack — NOT the raw cwnd, which
+        # can sit far above what an app-limited flow uses (cwnd
+        # validation keeps them close anyway).
+        foot = self.foot
+        np.multiply(prev_alloc, rtt, out=foot)
+        np.multiply(foot, 1.5, out=foot)
+        np.maximum(foot, self.fp_floor, out=foot)
+        np.minimum(foot, cwnd, out=foot)
+        np.minimum(foot, self.fp_cap, out=foot)
+        snd_limit, rcv_limit = kern.cpu_limits(rtt, foot)
+        # Same left-fold association as np.minimum.reduce([...]).
+        caps = np.minimum(window_rate, pace, out=self.caps)
+        np.minimum(caps, snd_limit, out=caps)
+        np.minimum(caps, rcv_limit, out=caps)
+        return pace, foot, rcv_limit, caps
+
+    def loss_idx(self, drops: np.ndarray, sent: np.ndarray) -> np.ndarray:
+        """Flows whose drops exceed the loss-react fraction of their sends."""
+        threshold = np.maximum(sent, 1.0, out=self.scratch)
+        np.multiply(threshold, LOSS_REACT_FRACTION, out=threshold)
+        return np.nonzero(drops > threshold)[0]
+
+    def cc_feedback(
+        self, now: float, rtt: float, alloc: np.ndarray, delivered: np.ndarray,
+        loss_idx: np.ndarray,
+    ) -> list[tuple[int, float, float]]:
+        """Congestion feedback behind the RFC 7661 validation mask.
+
+        Loss-based algorithms only grow while the window is what binds.
+        The mask reads this tick's pre-update windows and allocation,
+        with the same left-fold ``(nv & a) & b`` as the expression form
+        (``&`` on bool arrays is logical_and).
+        """
+        kern = self.kern
+        f, b1, b2 = self.scratch, self.mask_b1, self.mask_b2
+        np.multiply(alloc, rtt, out=f)
+        np.maximum(f, self.react10, out=f)
+        np.multiply(f, 1.5, out=f)
+        np.greater(kern.cwnd, f, out=b1)
+        np.logical_and(kern.needs_validation, b1, out=b1)
+        np.multiply(alloc, 1.2, out=f)
+        np.greater(self.wr, f, out=b2)
+        al_mask = np.logical_and(b1, b2, out=b1)
+        return kern.cc_feedback(
+            now, self.dt, rtt, delivered, loss_idx, al_mask, self.max_window
+        )
+
+    def cpu_costs(
+        self, alloc: np.ndarray, delivered: np.ndarray, rtt: float,
+        reduce: Callable[[np.ndarray], object],
+    ) -> tuple[tuple, np.ndarray]:
+        """CPU cost at this tick's operating point.
+
+        Returns ``(sums, zc_frac)``: ``reduce`` applied to the cycle
+        products alloc·(tx app, tx irq) and drate·(rx app, rx irq), then
+        to the zerocopy fractions, plus the fractions themselves.
+        """
+        drate = np.divide(delivered, self.dt, out=self.drate)
+        tx_app, tx_irq, zc_frac, rx_app, rx_irq = self.kern.cpu_costs(
+            alloc, drate, rtt, self.foot
+        )
+        acc = self.scratch
+        sums = (
+            reduce(np.multiply(alloc, tx_app, out=acc)),
+            reduce(np.multiply(alloc, tx_irq, out=acc)),
+            reduce(np.multiply(drate, rx_app, out=acc)),
+            reduce(np.multiply(drate, rx_irq, out=acc)),
+            reduce(zc_frac),
+        )
+        return sums, zc_frac
+
+
+def _place_drops(
+    rng: np.random.Generator, trains: np.ndarray, overflow: float,
+    standing: np.ndarray, dropped: float, zeros: np.ndarray,
+) -> np.ndarray:
+    """One queue's per-flow drops: the train overflow lands on a few
+    flows ∝ ``trains``, then the standing-queue drop ∝ ``standing``.
+
+    Drop-free ticks return the shared ``zeros``: ``concentrate_drops``
+    returns all-zeros without touching the RNG when its drop volume is
+    0, and adding a zero array to non-negative drops is a bitwise no-op,
+    so the skipped calls cannot change any number downstream.
+    """
+    if overflow > 0.0:
+        drops = concentrate_drops(rng, trains, overflow)
+        if dropped > 0.0:
+            drops += concentrate_drops(rng, standing, dropped)
+        return drops
+    if dropped > 0.0:
+        return concentrate_drops(rng, standing, dropped)
+    return zeros
+
+
 class FlowSimulator:
     """Simulates a set of flows between ``sender`` and ``receiver``."""
 
@@ -148,122 +603,37 @@ class FlowSimulator:
         """Simulate one test run (≈ one iperf3 invocation)."""
         prof = self.profile
         n = len(self.flows)
-        dt = prof.tick
-
-        san = (
-            SimSanitizer(context=f"flowsim rep={rep}")
-            if sanitizer_enabled()
-            else None
-        )
-
-        jitter_rng = self.rng.stream("hostjitter", rep)
         burst_rng = self.rng.stream("burst", rep)
-        bg_rng = self.rng.stream("background", rep)
-        place_rng = self.rng.stream("placement", rep)
-        if san is not None:
-            san.check_stream_registry(self.rng)
-
-        snd_place = self.sender.resolved_placement(place_rng)
-        rcv_place = self.receiver.resolved_placement(place_rng)
-
-        geom_tx = SegmentGeometry(
-            mtu=self.sender.tuning.mtu,
-            gso_size=self.sender.effective_gso_size(),
-            gro_size=self.receiver.effective_gro_size(),
+        setup = RunSetup(
+            self.sender, self.receiver, self.path, [(f, 1) for f in self.flows],
+            prof, rng=self.rng, rep=rep,
+            jitter_rng=self.rng.stream("hostjitter", rep),
+            place_rng=self.rng.stream("placement", rep),
+            bg_rng=self.rng.stream("background", rep),
+            context="flowsim",
         )
-        sockets = SocketProfile.from_sysctls(self.sender.sysctls, self.receiver.sysctls)
+        dt, mss, bus, san = setup.dt, setup.mss, setup.bus, setup.san
+        q_switch, q_ring = setup.q_switch, setup.q_ring
+        send_models = setup.send_models
 
-        # Observability.  The ambient trace bus (if one is installed)
-        # receives events and probes; the sanitizer additionally audits
-        # per-flow conservation by consuming the same "flow.tick" wire
-        # format through a private single-sink bus, so the ledger
-        # exercises the exact stream exports would see.  Every emission
-        # below is observational — no RNG draws, no state the simulated
-        # numbers depend on.
-        bus = trace_active()
+        # The sanitizer additionally audits per-flow conservation by
+        # consuming the "flow.tick" wire format through a private
+        # single-sink bus, so the ledger exercises the exact stream
+        # exports would see.
         self.last_ledger = None
         ledger_bus = None
         if san is not None:
             ledger = FlowConservationLedger(
-                n, mss=float(geom_tx.mss), context=f"flowsim rep={rep}"
+                n, mss=float(mss), context=f"flowsim rep={rep}"
             )
             self.last_ledger = ledger
             ledger_bus = TraceBus(sinks=[ledger])
         want_flow = bus is not None and bus.wants("flow")
-        want_probe = bus is not None and bus.wants("probe")
         want_cc = bus is not None and bus.wants("cc")
         want_zc = bus is not None and bus.wants("zerocopy")
+        want_probe = setup.want_probe
         emit_flow = want_flow or ledger_bus is not None
-        probe_stride = 0
-        drops_cum = None
-        if want_probe:
-            probe_stride = max(1, int(round(bus.probe_interval / dt)))
-            drops_cum = np.zeros(n)
-
-        send_models = [
-            CpuCostModel(self.sender, geom_tx, snd_place, zerocopy=f.zerocopy)
-            for f in self.flows
-        ]
-        recv_models = [
-            CpuCostModel(self.receiver, geom_tx, rcv_place, skip_rx_copy=f.skip_rx_copy)
-            for f in self.flows
-        ]
-
-        ccs = [make_cc(f.cc, mss=float(geom_tx.mss)) for f in self.flows]
-        pace_eff = np.array(
-            [
-                f.pacing.effective_rate() if f.pacing.enabled else np.inf
-                for f in self.flows
-            ]
-        )
-        burst = BurstModel(rng=burst_rng)
-        slacks = np.array(
-            [
-                flow_release_slack(f.pacing, f.zerocopy, burst)
-                for f in self.flows
-            ]
-        )
-
-        # Run-to-run hardware/placement jitter: a single multiplicative
-        # factor per run on CPU-derived limits (thermal/clock/scheduler
-        # noise plus any VM overhead noise).
-        run_noise = 1.0 + jitter_rng.normal(
-            0.0, 0.012 + self.sender.vm.jitter + self.receiver.vm.jitter
-        )
-        run_noise = float(np.clip(run_noise, 0.85, 1.15))
-
-        # Core shares: flows spread over the app/IRQ core sets.
-        snd_app_share = min(1.0, len(snd_place.app_cores) / n)
-        rcv_app_share = min(1.0, len(rcv_place.app_cores) / n)
-        rcv_irq_share = min(1.0, len(rcv_place.irq_cores) / n)
-
-        # Queues: bottleneck switch buffer, then the receiver NIC ring.
-        # The backbone switch queue always tail-drops: even on
-        # flow-control paths, 802.3x protects only the receiver's access
-        # link — backbone congestion still loses packets.
-        eff = geom_tx.wire_efficiency
-        path_cap_good = self.path.capacity * eff
-        backbone = SwitchModel(
-            model=self.path.switch.model,
-            shared_buffer_bytes=self.path.switch.shared_buffer_bytes,
-            supports_flow_control=False,
-        )
-        q_switch = SharedBufferQueue(backbone, drain_rate=path_cap_good)
-        ring_switch = SwitchModel(
-            model="rx-ring",
-            shared_buffer_bytes=self.receiver.rx_ring_bytes(),
-            supports_flow_control=self.path.flow_control,
-        )
-        q_ring = SharedBufferQueue(ring_switch, drain_rate=path_cap_good)
-
-        agg_tx = min(m.aggregate_tx_ceiling() for m in send_models) * run_noise
-        agg_rx_base = min(m.aggregate_rx_ceiling() for m in recv_models) * run_noise
-
-        metrics = MetricsAccumulator(n, prof.duration, prof.omit)
-        base_rtt = self.path.rtt_sec
-
-        budget_tx = self.sender.core_cycles_per_sec() * run_noise
-        budget_rx = self.receiver.core_cycles_per_sec() * run_noise
+        drops_cum = np.zeros(n) if want_probe else None
 
         # The tick kernel (scalar reference or vectorized fast path,
         # selected via REPRO_SIM_KERNEL) owns the warm per-flow state —
@@ -272,50 +642,19 @@ class FlowSimulator:
         # shared driver code: RNG draws, cross-flow reductions, queues,
         # and trace emission, so the kernels are byte-interchangeable.
         kern = make_kernel(
-            ccs=ccs,
+            ccs=[make_cc(f.cc, mss=float(mss)) for f in self.flows],
             send_models=send_models,
-            recv_models=recv_models,
-            run_noise=run_noise,
-            snd_app_share=snd_app_share,
-            rcv_app_share=rcv_app_share,
-            rcv_irq_share=rcv_irq_share,
-            budget_rx=budget_rx,
-            agg_rx_base=agg_rx_base,
+            recv_models=setup.recv_models,
+            **setup.kernel_args,
         )
-        max_window = sockets.max_window
-        prev_alloc = np.zeros(n)
+        lanes = FlowLanes(kern, setup, setup.pace_eff)
+        burst = BurstModel(rng=burst_rng)
+        slacks = setup.slacks
         persistent_w = burst.persistent_weights(slacks)
-
-        n_ticks = int(round(prof.duration / dt))
-        steps_per_bg = max(1, int(round(0.02 / dt)))  # resample bg every ~20 ms
-        bg_sample = 0.0
-
-        # Loop invariants, hoisted.  Every quantity below is a pure
-        # function of run-constant inputs (or of ``bg_sample``, which
-        # only changes in the resample branch), so the per-tick values
-        # are bit-identical to recomputing them inside the loop.
-        mss = geom_tx.mss
-        react10 = 10 * mss
-        fp_floor = 64 * geom_tx.gso_size
-        fp_cap = sockets.max_send_window * 2.0
-        l3_20 = 20.0 * self.receiver.cpu.l3_effective_bytes
-        n_exposure = min(1.0, n / 4.0)
-        physical = self.path.bottleneck.rate_bytes_per_sec
-        bg_mean = self.path.background.mean_bytes_per_sec
-        path_capacity = self.path.capacity
-        cap_floor = 0.05 * path_cap_good
-        cap_avg = max(cap_floor, min(path_capacity, physical - bg_mean) * eff)
-        capacity = min(cap_avg, agg_tx)
-        line1_den = max(
-            min(self.sender.nic.speed_bytes_per_sec, physical) * eff, 1.0
-        )
-        line2_den = max(physical * eff, 1.0)
-        buf1 = self.path.switch.shared_buffer_bytes
-        buf2 = self.receiver.rx_ring_bytes()
-        bg_active = self.path.background.active
-        flow_control = self.path.flow_control
-        cap_net = max(cap_floor, min(path_capacity, physical - bg_sample) * eff)
-        fill1 = max(0.0, 1.0 - cap_net / line1_den)
+        prev_alloc = np.zeros(n)
+        metrics = MetricsAccumulator(n, prof.duration, prof.omit)
+        capacity = setup.capacity
+        all_smooth = setup.all_smooth
         # Shared all-zero per-flow array for drop-free ticks (never
         # mutated) and the matching empty loss index.
         zeros = np.zeros(n)
@@ -324,106 +663,24 @@ class FlowSimulator:
         # ndarray.sum() dispatches to np.add.reduce; calling the ufunc
         # directly skips a wrapper layer with identical pairwise bits.
         asum = np.add.reduce
-        # With no trace bus and no sanitizer attached, an offer that a
-        # queue passes straight through (empty queue, arrivals within
-        # the drain) has no observable effect besides its return value,
-        # so the method call can be elided with the same numbers.
-        fast_q = bus is None and san is None
-        drained1 = cap_net * dt
-        # All-fq-paced runs draw burst randomness but multiply it away
-        # (slack 0); hoist that check out of the loop.
-        all_smooth = not bool(slacks.any())
-        # Per-tick scratch buffers.  Each is fully rewritten every tick
-        # before its first read, and nothing per-tick survives the tick
-        # through a buffer (``prev_alloc`` keeps the freshly allocated
-        # maxmin output, never scratch).  ``out=`` only changes where
-        # results land, never their bits.
-        wr_buf = np.empty(n)
-        foot_buf = np.empty(n)
-        caps_buf = np.empty(n)
+        # ``prev_alloc`` keeps the freshly allocated maxmin output, never
+        # scratch, so nothing per-tick survives the tick through a buffer.
         sent_buf = np.empty(n)
-        drate_buf = np.empty(n)
-        acc_buf = np.empty(n)
-        mask_f1 = np.empty(n)
-        mask_b1 = np.empty(n, dtype=bool)
-        mask_b2 = np.empty(n, dtype=bool)
 
-        if bus is not None:
-            bus.emit(
-                "run",
-                "run.start",
-                rep=rep,
-                flows=n,
-                path=self.path.name,
-                duration=prof.duration,
-                tick=dt,
-                rtt_ms=units.seconds_to_ms(base_rtt),
-                flow_control=self.path.flow_control,
-            )
-
-        rtt = base_rtt
-        for step in range(n_ticks):
+        setup.emit_run_start(rep)
+        for step in range(setup.n_ticks):
             # Closed form, not `now += dt`: a million accumulated float
             # adds drift the clock by enough to flip boundary
             # comparisons downstream (lint rule FLOAT002 flags the
             # accumulating pattern in simulation code).
             now = (step + 1) * dt
-            if bus is not None:
-                bus.set_time(now)
+            rtt = setup.begin_tick(step, now)
             if ledger_bus is not None:
                 ledger_bus.set_time(now)
-            if san is not None:
-                san.check_time(now)
-            if bg_active and step % steps_per_bg == 0:
-                bg_sample = float(self.path.background.sample(bg_rng, 1)[0])
-                cap_net = max(
-                    cap_floor, min(path_capacity, physical - bg_sample) * eff
-                )
-                fill1 = max(0.0, 1.0 - cap_net / line1_den)
-                drained1 = cap_net * dt
 
-            queue_delay = q_switch.occupancy / max(q_switch.drain_rate, 1.0)
-            rtt = base_rtt + queue_delay
-
-            # --- per-flow caps -------------------------------------------
+            # --- per-flow caps and shared capacity ----------------------
             cwnd = kern.cwnd
-            window_rate = np.divide(cwnd, max(rtt, 1e-6), out=wr_buf)
-            pace = kern.pacing(rtt, pace_eff)
-
-            # Working set the sender actually touches: the in-flight
-            # bytes (~rate*RTT) plus qdisc/socket slack — NOT the raw
-            # cwnd, which can sit far above what an app-limited flow
-            # uses (cwnd validation below keeps them close anyway).
-            # (min/max are exact and commutative here — both operands
-            # are ordinary positive floats, so swapped-argument ties
-            # return identical bits; ``c * x`` rounds as ``x * c``.)
-            np.multiply(prev_alloc, rtt, out=foot_buf)
-            np.multiply(foot_buf, 1.5, out=foot_buf)
-            np.maximum(foot_buf, fp_floor, out=foot_buf)
-            np.minimum(foot_buf, cwnd, out=foot_buf)
-            footprint = np.minimum(foot_buf, fp_cap, out=foot_buf)
-            snd_limit, rcv_limit = kern.cpu_limits(rtt, footprint)
-
-            # Same left-fold association as np.minimum.reduce([...]).
-            caps = np.minimum(window_rate, pace, out=caps_buf)
-            np.minimum(caps, snd_limit, out=caps)
-            np.minimum(caps, rcv_limit, out=caps)
-
-            # --- shared capacity ----------------------------------------
-            # The receiver's aggregate ceiling is deliberately NOT part
-            # of the allocation: senders do not know it.  It appears as
-            # the ring drain below, so exceeding it costs losses (the
-            # paper's >120 Gbps WAN interference), not a clean cap.
-            # Exposure grows with the total receive working set and with
-            # the number of competing receiver processes — one stream
-            # cannot thrash the LLC the way eight iperf3 threads do.
-            # (Background traffic shares the *physical* link; the admin
-            # cap applies to test traffic only.  TCP adapts to the
-            # *average* background — the micro-burst sample drives the
-            # queue drain below, so spikes show up as queueing and
-            # loss, not as an instant, clairvoyant rate adjustment.)
-            total_foot = float(asum(footprint))
-            rx_exposure = min(1.0, total_foot / l3_20) * n_exposure
+            pace, footprint, rcv_limit, caps = lanes.rate_caps(rtt, prev_alloc)
             # One fused burst-model draw covers this tick's rx-ceiling
             # noise, max-min weight jitter, and packet-train volumes —
             # a single RNG call whose consumption order is part of the
@@ -431,129 +688,44 @@ class FlowSimulator:
             noise_z, weights, trains = burst.tick_draw(
                 persistent_w, slacks, cwnd, smooth=all_smooth
             )
-            # The ceiling is noisy tick to tick (LLC/memory-controller
-            # contention, softirq scheduling): flows operating close to
-            # it keep clipping the dips, which is where the paper's
-            # sustained WAN retransmit counts come from.
-            z = noise_z if -2.5 <= noise_z <= 2.5 else (
-                -2.5 if noise_z < -2.5 else 2.5
+            rcv_drain = setup.rx_drain(
+                float(asum(footprint)), noise_z, float(asum(rcv_limit))
             )
-            rx_noise = 1.0 + RX_CEILING_NOISE * rx_exposure * z
-            agg_rx = agg_rx_base * (1.0 - WAN_RX_AGG_PENALTY * rx_exposure) * rx_noise
-
-            # Weights come out of the lognormal jitter (positive by
-            # construction), so the validation pass is skipped.  Always
-            # route through the module global (the allocator has its own
-            # uncongested fast path) so it stays swappable under test.
+            # (Background traffic shares the *physical* link; the admin
+            # cap applies to test traffic only.  TCP adapts to the
+            # *average* background — the micro-burst sample drives the
+            # queue drain, so spikes show up as queueing and loss, not
+            # as an instant, clairvoyant rate adjustment.)  Weights come
+            # out of the lognormal jitter (positive by construction), so
+            # the validation pass is skipped.  Always route through the
+            # module global (the allocator has its own uncongested fast
+            # path) so it stays swappable under test.
             alloc = maxmin_allocate(caps, capacity, weights, validate=False)
 
             # --- queues + packet-train loss ------------------------------
             # Standing queues carry the *average* volume (sum of
             # allocations never exceeds the drain by construction, so
             # they only build transiently when background-traffic spikes
-            # eat into the drain).  Packet trains are per-RTT
-            # time-compression: each RTT a train of V_i bytes arrives at
-            # line rate; the fraction the drain cannot absorb deposits
-            # into the buffer, and the part beyond the free headroom is
-            # tail-dropped.  Train overflow is converted to a per-tick
-            # drop volume by dt/rtt.
+            # eat into the drain).
             sent = np.multiply(alloc, dt, out=sent_buf)  # goodput bytes emitted
             tick_per_rtt = dt / max(rtt, dt)
-
-            q_switch.drain_rate = cap_net
-            occ1_before = q_switch.occupancy
             offered1 = float(asum(sent))
-            # Exact == 0.0 is intentional: offer() assigns occupancy
-            # = 0.0 exactly when the queue empties, and the elision is
-            # only valid in that exact state.
-            if fast_q and occ1_before == 0.0 and offered1 <= drained1:  # repro: noqa-FLOAT001
-                # offer() would serve everything from an empty queue:
-                # delivered = arrivals, no state change, nothing to
-                # trace.  Same numbers as the call, minus the call.
-                delivered1, dropped_std1 = offered1, 0.0
-            else:
-                delivered1, dropped_std1 = q_switch.offer(offered1, dt)
-            if san is not None:
-                san.account_link(
-                    "switch-buffer",
-                    offered=offered1,
-                    delivered=delivered1,
-                    dropped=dropped_std1,
-                    queue_before=occ1_before,
-                    queue_after=q_switch.occupancy,
-                )
-            # Drop-free ticks short-circuit to the shared zero array:
-            # ``concentrate_drops`` returns all-zeros without touching
-            # the RNG when its drop volume is 0, and adding a zero
-            # array to non-negative drops is a bitwise no-op, so the
-            # skipped calls cannot change any number downstream.
-            # ``all_smooth`` ticks have all-zero trains, so both
-            # overflow expressions reduce to max(0, -headroom) == 0;
-            # skipping the sums changes nothing.
-            if fill1 > 0.0 and not all_smooth:
-                headroom1 = max(0.0, buf1 - q_switch.occupancy)
-                overflow1 = max(0.0, float(asum(trains)) * fill1 - headroom1)
-            else:
-                overflow1 = 0.0
-            ov1 = overflow1 * tick_per_rtt
-            if ov1 > 0.0:
-                drops1 = concentrate_drops(burst_rng, trains, ov1)
-                if dropped_std1 > 0.0:
-                    drops1 += concentrate_drops(burst_rng, sent, dropped_std1)
-            elif dropped_std1 > 0.0:
-                drops1 = concentrate_drops(burst_rng, sent, dropped_std1)
-            else:
-                drops1 = zeros
+            dropped_std1, ov1, _ = setup.offer_switch(offered1, trains, tick_per_rtt)
+            drops1 = _place_drops(burst_rng, trains, ov1, sent, dropped_std1, zeros)
 
-            # Receiver NIC ring: drains at what the receiver actually
-            # consumes; trains arrive at the path's bottleneck line rate.
-            rcv_drain = min(agg_rx, float(asum(rcv_limit)))
-            after1 = sent if drops1 is zeros else np.maximum(0.0, sent - drops1)
-            q_ring.drain_rate = rcv_drain
-            occ2_before = q_ring.occupancy
-            # On drop-free ticks after1 IS sent, whose sum is offered1.
-            offered2 = offered1 if after1 is sent else float(asum(after1))
-            # Same exact-empty-state guard as the switch queue above.
-            if fast_q and occ2_before == 0.0 and offered2 <= rcv_drain * dt:  # repro: noqa-FLOAT001
-                delivered2, dropped_std2 = offered2, 0.0
+            if drops1 is zeros:
+                # On drop-free ticks after1 IS sent, whose sum is offered1.
+                after1, trains_after, offered2 = sent, trains, offered1
             else:
-                delivered2, dropped_std2 = q_ring.offer(offered2, dt)
-            if san is not None:
-                san.account_link(
-                    "rx-ring",
-                    offered=offered2,
-                    delivered=delivered2,
-                    dropped=dropped_std2,
-                    queue_before=occ2_before,
-                    queue_after=q_ring.occupancy,
-                    flow_control=flow_control,
-                )
-            if flow_control:
-                # 802.3x pause frames: the overflow is held upstream,
-                # nothing is dropped at the ring.
-                drops2 = zeros
-            else:
-                fill2 = max(0.0, 1.0 - rcv_drain / line2_den)
-                trains_after = (
-                    trains if drops1 is zeros
-                    else np.maximum(0.0, trains - drops1)
-                )
-                if fill2 > 0.0 and not all_smooth:
-                    headroom2 = max(0.0, buf2 - q_ring.occupancy)
-                    overflow2 = max(
-                        0.0, float(asum(trains_after)) * fill2 - headroom2
-                    )
-                else:
-                    overflow2 = 0.0
-                ov2 = overflow2 * tick_per_rtt
-                if ov2 > 0.0:
-                    drops2 = concentrate_drops(burst_rng, trains_after, ov2)
-                    if dropped_std2 > 0.0:
-                        drops2 += concentrate_drops(burst_rng, after1, dropped_std2)
-                elif dropped_std2 > 0.0:
-                    drops2 = concentrate_drops(burst_rng, after1, dropped_std2)
-                else:
-                    drops2 = zeros
+                after1 = np.maximum(0.0, sent - drops1)
+                trains_after = np.maximum(0.0, trains - drops1)
+                offered2 = float(asum(after1))
+            dropped_std2, ov2, _ = setup.offer_ring(
+                offered2, rcv_drain, trains_after, tick_per_rtt
+            )
+            drops2 = _place_drops(
+                burst_rng, trains_after, ov2, after1, dropped_std2, zeros
+            )
 
             if drops1 is zeros and drops2 is zeros:
                 drops = zeros
@@ -600,27 +772,8 @@ class FlowSimulator:
                 loss_idx = empty_idx
             else:
                 retr_segments = float(asum(drops) / mss)
-                loss_idx = np.nonzero(
-                    drops > LOSS_REACT_FRACTION * np.maximum(sent, 1.0)
-                )[0]
-            # Congestion-window validation (RFC 7661): loss-based
-            # algorithms only grow while the window is what binds.  The
-            # mask reads this tick's pre-update windows, as the scalar
-            # loop did.
-            # Same left-fold ``(nv & a) & b`` as the expression form;
-            # `&` on bool arrays is logical_and, and the `c * x`
-            # commutations round identically.
-            np.multiply(alloc, rtt, out=mask_f1)
-            np.maximum(mask_f1, react10, out=mask_f1)
-            np.multiply(mask_f1, 1.5, out=mask_f1)
-            np.greater(cwnd, mask_f1, out=mask_b1)
-            np.logical_and(kern.needs_validation, mask_b1, out=mask_b1)
-            np.multiply(alloc, 1.2, out=mask_f1)
-            np.greater(window_rate, mask_f1, out=mask_b2)
-            al_mask = np.logical_and(mask_b1, mask_b2, out=mask_b1)
-            reacted = kern.cc_feedback(
-                now, dt, rtt, delivered, loss_idx, al_mask, max_window
-            )
+                loss_idx = lanes.loss_idx(drops, sent)
+            reacted = lanes.cc_feedback(now, rtt, alloc, delivered, loss_idx)
             loss_events = len(reacted)
             if want_cc:
                 for i, before, after in reacted:
@@ -635,20 +788,18 @@ class FlowSimulator:
                     )
             prev_alloc = alloc
 
-            # --- CPU accounting ------------------------------------------
-            drate = np.divide(delivered, dt, out=drate_buf)
-            tx_app_pb, tx_irq_pb, zc_frac, rx_app_pb, rx_irq_pb = kern.cpu_costs(
-                alloc, drate, rtt, footprint
+            # --- CPU accounting and metrics -----------------------------
+            sums, zc_frac = lanes.cpu_costs(alloc, delivered, rtt, asum)
+            tx_app, tx_irq, rx_app, rx_irq = setup.record_tick(
+                metrics,
+                delivered,
+                retr_segments,
+                loss_events,
+                sums,
+                # Drop-free ticks deliver exactly what was sent, whose
+                # sum was already taken for the switch offer.
+                offered1 if delivered is sent else float(asum(delivered)),
             )
-            np.multiply(alloc, tx_app_pb, out=acc_buf)
-            tx_app = float(asum(acc_buf)) / budget_tx
-            np.multiply(alloc, tx_irq_pb, out=acc_buf)
-            tx_irq = float(asum(acc_buf)) / budget_tx
-            np.multiply(drate, rx_app_pb, out=acc_buf)
-            rx_app = float(asum(acc_buf)) / budget_rx
-            np.multiply(drate, rx_irq_pb, out=acc_buf)
-            rx_irq = float(asum(acc_buf)) / budget_rx
-            zc_sum = float(asum(zc_frac))
             if want_zc:
                 for i in zc_flows:
                     # Edge-triggered: one event when the flow starts
@@ -663,7 +814,7 @@ class FlowSimulator:
                         zc_fraction=round(float(zc_frac[i]), 4),
                     )
 
-            if want_probe and step % probe_stride == 0:
+            if want_probe and step % setup.probe_stride == 0:
                 bus.emit(
                     "probe",
                     "probe.mpstat",
@@ -677,7 +828,7 @@ class FlowSimulator:
                 bus.emit(
                     "probe",
                     "probe.nic",
-                    **nic_probe(q_switch, q_ring, flow_control=flow_control),
+                    **nic_probe(q_switch, q_ring, flow_control=setup.flow_control),
                 )
                 for i in range(n):
                     zc_model = send_models[i].zc_model
@@ -700,29 +851,6 @@ class FlowSimulator:
                         ),
                     )
 
-            metrics.record_tick(
-                dt,
-                delivered,
-                retr_segments,
-                loss_events,
-                (tx_app / n, tx_irq / n, rx_app / n, rx_irq / n),
-                zc_sum / n,
-                # Drop-free ticks deliver exactly what was sent, whose
-                # sum was already taken for the switch offer.
-                delivered_sum=(
-                    offered1 if delivered is sent else float(asum(delivered))
-                ),
-            )
-
         result = metrics.finalize()
-        if bus is not None:
-            bus.emit(
-                "run",
-                "run.end",
-                rep=rep,
-                flows=n,
-                gbps=round(result.total_gbps, 6),
-                retransmit_segments=round(result.retransmit_segments, 3),
-                loss_events=result.loss_events,
-            )
+        setup.emit_run_end(rep, result)
         return result

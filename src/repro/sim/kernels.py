@@ -26,8 +26,11 @@ aspirational, because
   evaluated by CPython or by a numpy ufunc, and every vector formula
   transcribes its scalar counterpart with the same association;
 * everything stochastic (background samples, burst draws, drop
-  placement) and every cross-flow reduction lives in the shared driver,
-  so RNG consumption order and summation order cannot differ;
+  placement) and every cross-flow reduction stays outside the kernel,
+  in :meth:`~repro.sim.flowsim.FlowSimulator.run` and the
+  :class:`~repro.sim.flowsim.RunSetup` link step, which run the same
+  code under either kernel, so RNG consumption order and summation
+  order cannot differ;
 * rare per-event work (loss reactions needing a real cube root, BBR's
   windowed-max state) runs the scalar code in both kernels.
 

@@ -96,6 +96,11 @@ class MetricsAccumulator:
         self._interval_marks: list[float] = []
         self._next_interval = omit + 1.0
 
+    @property
+    def measured_time(self) -> float:
+        """Simulated seconds recorded after ``omit`` so far."""
+        return self._measured_time
+
     def record_tick(
         self,
         dt: float,

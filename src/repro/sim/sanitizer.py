@@ -27,10 +27,10 @@ Three equivalent switches:
 * code: :func:`enable` / :func:`disable`, or the :func:`sanitized`
   context manager (used by the test suite).
 
-The sanitizer is wired into :class:`repro.core.engine.Engine` (event
-times) and :class:`repro.sim.flowsim.FlowSimulator` (per-tick state and
-link conservation).  When disabled — the default — neither pays more
-than a single ``None`` check per tick/event.
+It is wired into :class:`repro.core.engine.Engine` (event times) and the
+flow engines' shared :class:`repro.sim.flowsim.RunSetup` (clock, streams,
+link conservation; ``FlowSimulator`` adds per-flow state).  When off —
+the default — neither pays more than one ``None`` check per tick/event.
 
 Violations raise :class:`~repro.core.errors.SanitizerViolation`, a
 :class:`~repro.core.errors.SimulationError`: they always indicate a bug

@@ -33,11 +33,20 @@ carry the guarantee:
   worker owns block ``b`` consumes exactly the same stream in exactly
   the same order.
 
-The engine is its own canon: it transcribes the
-:class:`~repro.sim.flowsim.FlowSimulator` physics per lane, but drop
-concentration and weight draws are per-block rather than global, so its
-numbers are compared against *its own* goldens (any shard count), not
-against the unsharded simulator's.
+Shared physics, per-engine layout
+---------------------------------
+The engine reuses the unsharded simulator's code wherever both compute
+the same floats: set-up and the per-tick link step come from
+:class:`~repro.sim.flowsim.RunSetup` (placement, geometry, cost models,
+queues, background resample, RTT, receiver ceiling, switch and ring
+offers, train overflow) and the per-lane caps, validation mask and
+CPU-cost formulas from :class:`~repro.sim.flowsim.FlowLanes`.  What stays
+here is where the numbers differ by design: drop placement is per block
+(:func:`_concentrate_block`, not
+:func:`~repro.sim.lossmodel.concentrate_drops`), max-min runs as a block
+water-fill, and burst and weight draws follow the block RNG layout.  So
+its numbers are compared against *its own* goldens (any shard count),
+not against the unsharded simulator's.
 
 Fault handling
 --------------
@@ -65,32 +74,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core import units
 from repro.core.errors import ConfigurationError
+from repro.core.faults import crash_once
 from repro.core.rng import RngFactory
 from repro.host.machine import Host
 from repro.net.path import NetworkPath
-from repro.net.switch import SharedBufferQueue, SwitchModel
-from repro.sim.cpumodel import CpuCostModel
-from repro.sim.flowsim import (
-    LOSS_REACT_FRACTION,
-    RX_CEILING_NOISE,
-    WAN_RX_AGG_PENALTY,
-    FlowSpec,
-    SimProfile,
-)
+from repro.sim.flowsim import FlowLanes, FlowSpec, RunSetup, SimProfile
 from repro.sim.kernels import VectorKernel
-from repro.sim.lossmodel import (
-    BURST_SIGMA,
-    TRAIN_FRACTION,
-    BurstModel,
-    flow_release_slack,
-)
+from repro.sim.lossmodel import BURST_SIGMA, TRAIN_FRACTION, BurstModel
 from repro.sim.metrics import MetricsAccumulator, RunResult
 from repro.tcp.cc.batch import CcBatch
-from repro.tcp.segment import SegmentGeometry
-from repro.tcp.sockets import SocketProfile
-from repro.trace.bus import active as trace_active
 
 __all__ = [
     "ENV_VAR",
@@ -214,21 +207,12 @@ def _drop_label(block: int) -> str:
 def _maybe_crash(shard_id: int, tick: int) -> None:
     """Fault-injection hook: kill shard 0 on its second tick.
 
-    ``REPRO_SHARD_CRASH_ONCE=always`` crashes on every attempt;
-    any other value is a sentinel path created on the first crash so
-    the retried attempt survives.
+    ``REPRO_SHARD_CRASH_ONCE`` is ``always`` or a sentinel path; see
+    :func:`repro.core.faults.crash_once`.
     """
     hook = os.environ.get(CRASH_ONCE_ENV)
-    if not hook or shard_id != 0 or tick != 2:
-        return
-    if hook == "always":
-        os._exit(17)
-    try:
-        fd = os.open(hook, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return
-    os.close(fd)
-    os._exit(17)
+    if hook and shard_id == 0 and tick == 2:
+        crash_once(hook)
 
 
 def _blocksums(values: np.ndarray) -> np.ndarray:
@@ -369,60 +353,52 @@ class _ShardWorker:
 
     Built in the coordinator process *before* forking, so process-mode
     children inherit every array (scratch pages go copy-on-write; the
-    exchange/control/accumulator views map shared segments).  All
-    methods transcribe the :class:`FlowSimulator` tick per lane; the
-    class docstring of this module explains why that makes the results
-    shard-count-invariant.
+    exchange/control/accumulator views map shared segments).  The
+    per-lane formulas are the unsharded engine's own
+    (:class:`~repro.sim.flowsim.FlowLanes`); the phases add the block
+    layout around them — per-block burst draws, water-filling rounds,
+    block drop placement — and publish per-block partials.  The module
+    docstring explains why that makes the results shard-count-invariant.
     """
 
     def __init__(
         self,
         shard_id: int,
         plan: ShardPlan,
-        kern: VectorKernel,
+        setup: RunSetup,
         *,
-        pace_eff: np.ndarray,
-        slacks: np.ndarray,
         persistent_w: np.ndarray,
-        valid_f: np.ndarray,
-        valid_b: np.ndarray,
+        valid: np.ndarray,
         burst_rngs: list[np.random.Generator],
         drop_rngs: list[np.random.Generator],
         exchange: np.ndarray,
         accum: np.ndarray,
-        dt: float,
-        omit: float,
-        mss: float,
-        react10: float,
-        fp_floor: float,
-        fp_cap: float,
-        max_window: float,
-        all_smooth: bool,
     ) -> None:
         self.shard_id = shard_id
         self.b0, self.b1 = plan.block_range(shard_id)
         f0, f1 = plan.flow_range(shard_id)
         m = f1 - f0
-        self.m = m
-        self.kern = kern
-        self.pace_eff = pace_eff
-        self.slacks = slacks
-        self.persistent_w = persistent_w
-        self.valid_f = valid_f
-        self.valid_b = valid_b
-        self.burst_rngs = burst_rngs
-        self.drop_rngs = drop_rngs
+        # Each shard rebuilds its slice of the congestion state from
+        # per-kind templates, never from per-flow CC objects.
+        self.kern = kern = VectorKernel.from_batch(
+            CcBatch.from_kinds(setup.kinds[f0:f1], mss=float(setup.mss)),
+            setup.send_models[f0:f1],
+            setup.recv_models[f0:f1],
+            **setup.kernel_args,
+        )
+        self.lanes = FlowLanes(kern, setup, setup.pace_eff[f0:f1])
+        self.slacks = setup.slacks[f0:f1]
+        self.persistent_w = persistent_w[f0:f1]
+        valid_b = self.valid_b = valid[f0:f1]
+        self.valid_f = valid_b.astype(float)
+        self.burst_rngs = burst_rngs[self.b0 : self.b1]
+        self.drop_rngs = drop_rngs[self.b0 : self.b1]
         self.ex = exchange
         self.rows = slice(self.b0, self.b1)
         self.accum = accum[f0:f1]
-        self.dt = dt
-        self.omit = omit
-        self.mss = mss
-        self.react10 = react10
-        self.fp_floor = fp_floor
-        self.fp_cap = fp_cap
-        self.max_window = max_window
-        self.all_smooth = all_smooth
+        self.dt = setup.dt
+        self.omit = setup.profile.omit
+        self.all_smooth = setup.all_smooth
         # Pad lanes of THIS shard (only the globally last block has any).
         n_local_valid = int(np.count_nonzero(valid_b))
         self.pad_slice = slice(n_local_valid, m)
@@ -438,9 +414,6 @@ class _ShardWorker:
         self.zero_trains = np.zeros(m)
 
         # Per-tick scratch, rewritten before first read each tick.
-        self.wr_buf = np.empty(m)
-        self.foot_buf = np.empty(m)
-        self.caps_buf = np.empty(m)
         self.fair = np.empty(m)
         self.sent = np.empty(m)
         self.after1 = np.empty(m)
@@ -449,11 +422,6 @@ class _ShardWorker:
         self.drops2 = np.zeros(m)
         self.dropsum = np.empty(m)
         self.del_buf = np.empty(m)
-        self.drate_buf = np.empty(m)
-        self.mscratch = np.empty(m)
-        self.mask_f1 = np.empty(m)
-        self.mask_b1 = np.empty(m, dtype=bool)
-        self.mask_b2 = np.empty(m, dtype=bool)
         self.zw_all = np.empty(m)
         self.zt_all = np.empty(m)
         self.t_buf = np.empty(m)
@@ -470,22 +438,8 @@ class _ShardWorker:
         self.tick += 1
         self.now = self.tick * self.dt
         self.rtt = rtt
-        ex, rows = self.ex, self.rows
-        kern = self.kern
-        cwnd = kern.cwnd
-        window_rate = np.divide(cwnd, max(rtt, 1e-6), out=self.wr_buf)
-        pace = kern.pacing(rtt, self.pace_eff)
-
-        np.multiply(self.prev_alloc, rtt, out=self.foot_buf)
-        np.multiply(self.foot_buf, 1.5, out=self.foot_buf)
-        np.maximum(self.foot_buf, self.fp_floor, out=self.foot_buf)
-        np.minimum(self.foot_buf, cwnd, out=self.foot_buf)
-        footprint = np.minimum(self.foot_buf, self.fp_cap, out=self.foot_buf)
-        snd_limit, rcv_limit = kern.cpu_limits(rtt, footprint)
-
-        caps = np.minimum(window_rate, pace, out=self.caps_buf)
-        np.minimum(caps, snd_limit, out=caps)
-        np.minimum(caps, rcv_limit, out=caps)
+        ex, rows, lanes = self.ex, self.rows, self.lanes
+        _, footprint, rcv_limit, caps = lanes.rate_caps(rtt, self.prev_alloc)
         # Pad lanes must allocate exactly 0 in the SEND fast path, which
         # takes max(caps, 0); zero their caps after the min fold.
         caps[self.pad_slice] = 0.0
@@ -502,10 +456,10 @@ class _ShardWorker:
             # z[BLOCK_FLOWS:] scales the packet trains — the same split
             # as the driver's fused tick_draw, per block.
             for j, gen in enumerate(self.burst_rngs):
-                lanes = slice(j * BLOCK_FLOWS, (j + 1) * BLOCK_FLOWS)
+                lanes_j = slice(j * BLOCK_FLOWS, (j + 1) * BLOCK_FLOWS)
                 z = gen.standard_normal(2 * BLOCK_FLOWS)
-                self.zw_all[lanes] = z[:BLOCK_FLOWS]
-                self.zt_all[lanes] = z[BLOCK_FLOWS:]
+                self.zw_all[lanes_j] = z[:BLOCK_FLOWS]
+                self.zt_all[lanes_j] = z[BLOCK_FLOWS:]
             t = self.t_buf
             np.multiply(self.zw_all, BurstModel.TICK_WEIGHT_SIGMA, out=t)
             np.exp(t, out=t)
@@ -518,17 +472,18 @@ class _ShardWorker:
             np.exp(t, out=t)
             np.multiply(self.slacks, t, out=t)
             np.multiply(t, TRAIN_FRACTION, out=t)
-            self.trains = np.multiply(t, cwnd, out=self.trains_buf)
+            self.trains = np.multiply(t, self.kern.cwnd, out=self.trains_buf)
 
         # Partials.  FOOT and RCV mask the pad lanes (their values are
         # kernel-owned and nonzero); multiplying the valid lanes by 1.0
         # is bit-exact and pads contribute +0.0.  The rest are naturally
         # zero on pads (w, trains, caps).
-        np.multiply(footprint, self.valid_f, out=self.mscratch)
-        ex[rows, _FOOT] = _blocksums(self.mscratch)
+        scratch = lanes.scratch
+        np.multiply(footprint, self.valid_f, out=scratch)
+        ex[rows, _FOOT] = _blocksums(scratch)
         ex[rows, _CAPS] = _blocksums(caps)
-        np.multiply(rcv_limit, self.valid_f, out=self.mscratch)
-        ex[rows, _RCV] = _blocksums(self.mscratch)
+        np.multiply(rcv_limit, self.valid_f, out=scratch)
+        ex[rows, _RCV] = _blocksums(scratch)
         ex[rows, _WSUM] = _blocksums(self.w)
         ex[rows, _TRAIN] = _blocksums(self.trains)
 
@@ -538,32 +493,34 @@ class _ShardWorker:
 
     def round_wf(self, share: float) -> None:
         """One water-filling round at the coordinator's fair share."""
-        ex, rows = self.ex, self.rows
+        ex, rows, lanes = self.ex, self.rows, self.lanes
+        caps, scratch = lanes.caps, lanes.scratch
         np.multiply(self.w, share, out=self.fair)
-        limited = np.less_equal(self.caps_buf, self.fair, out=self.mask_b1)
+        limited = np.less_equal(caps, self.fair, out=lanes.mask_b1)
         np.logical_and(limited, self.active, out=limited)
-        np.copyto(self.alloc, self.caps_buf, where=limited)
-        np.multiply(self.caps_buf, limited, out=self.mscratch)
-        ex[rows, _CAPPED] = _blocksums(self.mscratch)
+        np.copyto(self.alloc, caps, where=limited)
+        np.multiply(caps, limited, out=scratch)
+        ex[rows, _CAPPED] = _blocksums(scratch)
         ex[rows, _NLIM] = _blocksums(limited)
-        np.logical_not(limited, out=self.mask_b2)
-        np.logical_and(self.active, self.mask_b2, out=self.active)
-        np.multiply(self.w, self.active, out=self.mscratch)
-        ex[rows, _WSUM] = _blocksums(self.mscratch)
+        np.logical_not(limited, out=lanes.mask_b2)
+        np.logical_and(self.active, lanes.mask_b2, out=self.active)
+        np.multiply(self.w, self.active, out=scratch)
+        ex[rows, _WSUM] = _blocksums(scratch)
 
     def round_send(self, mode: float) -> None:
         ex, rows = self.ex, self.rows
+        caps = self.lanes.caps
         resolved = int(mode)
         if resolved == 0:
             # Uncongested fast path: every flow at its (clipped) cap.
-            np.maximum(self.caps_buf, 0.0, out=self.alloc)
+            np.maximum(caps, 0.0, out=self.alloc)
         else:
             if resolved == 1:
                 # Converged water-fill: still-active flows take the
                 # final fair share; limited flows already hold their
                 # caps from the WF rounds.
                 np.copyto(self.alloc, self.fair, where=self.active)
-            np.minimum(self.alloc, self.caps_buf, out=self.alloc)
+            np.minimum(self.alloc, caps, out=self.alloc)
             np.maximum(self.alloc, 0.0, out=self.alloc)
         np.multiply(self.alloc, self.dt, out=self.sent)
         ex[rows, _SENT] = _blocksums(self.sent)
@@ -628,6 +585,7 @@ class _ShardWorker:
         else:
             drops = None
 
+        lanes = self.lanes
         if drops is None:
             delivered = self.sent
             ex[rows, _DROPS] = 0.0
@@ -637,42 +595,15 @@ class _ShardWorker:
             np.maximum(self.del_buf, 0.0, out=self.del_buf)
             delivered = self.del_buf
             ex[rows, _DROPS] = _blocksums(drops)
-            np.maximum(self.sent, 1.0, out=self.mscratch)
-            np.multiply(self.mscratch, LOSS_REACT_FRACTION, out=self.mscratch)
-            loss_idx = np.nonzero(drops > self.mscratch)[0]
+            loss_idx = lanes.loss_idx(drops, self.sent)
 
-        # Congestion-window validation mask (RFC 7661), transcribed
-        # from the driver: pre-update windows, this tick's allocation.
-        kern = self.kern
-        np.multiply(self.alloc, rtt, out=self.mask_f1)
-        np.maximum(self.mask_f1, self.react10, out=self.mask_f1)
-        np.multiply(self.mask_f1, 1.5, out=self.mask_f1)
-        np.greater(kern.cwnd, self.mask_f1, out=self.mask_b1)
-        np.logical_and(kern.needs_validation, self.mask_b1, out=self.mask_b1)
-        np.multiply(self.alloc, 1.2, out=self.mask_f1)
-        np.greater(self.wr_buf, self.mask_f1, out=self.mask_b2)
-        al_mask = np.logical_and(self.mask_b1, self.mask_b2, out=self.mask_b1)
-
-        reacted = kern.cc_feedback(
-            self.now, self.dt, rtt, delivered, loss_idx, al_mask,
-            self.max_window,
-        )
+        reacted = lanes.cc_feedback(self.now, rtt, self.alloc, delivered, loss_idx)
         ex[rows, _LOSSN] = 0.0
         ex[self.b0, _LOSSN] = float(len(reacted))
 
-        drate = np.divide(delivered, self.dt, out=self.drate_buf)
-        tx_app_pb, tx_irq_pb, zc_frac, rx_app_pb, rx_irq_pb = kern.cpu_costs(
-            self.alloc, drate, rtt, self.foot_buf
-        )
-        np.multiply(self.alloc, tx_app_pb, out=self.mscratch)
-        ex[rows, _TXAPP] = _blocksums(self.mscratch)
-        np.multiply(self.alloc, tx_irq_pb, out=self.mscratch)
-        ex[rows, _TXIRQ] = _blocksums(self.mscratch)
-        np.multiply(drate, rx_app_pb, out=self.mscratch)
-        ex[rows, _RXAPP] = _blocksums(self.mscratch)
-        np.multiply(drate, rx_irq_pb, out=self.mscratch)
-        ex[rows, _RXIRQ] = _blocksums(self.mscratch)
-        ex[rows, _ZC] = _blocksums(zc_frac)
+        sums, _ = lanes.cpu_costs(self.alloc, delivered, rtt, _blocksums)
+        for col, partials in zip(range(_TXAPP, _ZC + 1), sums):
+            ex[rows, col] = partials
         ex[rows, _DSUM] = _blocksums(delivered)
 
         if self.now > self.omit:
@@ -936,10 +867,6 @@ class ShardedFlowSimulator:
         # A fresh factory per attempt: generator state must restart
         # from the seed so a retried run is byte-identical.
         rng = RngFactory(seed=self.rng.seed)
-
-        jitter_rng = rng.stream("shard:hostjitter", rep)
-        bg_rng = rng.stream("shard:background", rep)
-        place_rng = rng.stream("shard:placement", rep)
         rx_rng = rng.stream("shard:rxnoise", rep)
         # The label helpers are constant-prefix f-strings behind one
         # definition shared with the worker side (and monkeypatchable
@@ -952,134 +879,17 @@ class ShardedFlowSimulator:
             rng.stream(_drop_label(block), rep)  # repro: noqa-RNG001
             for block in range(plan.n_blocks)
         ]
-
-        snd_place = self.sender.resolved_placement(place_rng)
-        rcv_place = self.receiver.resolved_placement(place_rng)
-        geom_tx = SegmentGeometry(
-            mtu=self.sender.tuning.mtu,
-            gso_size=self.sender.effective_gso_size(),
-            gro_size=self.receiver.effective_gro_size(),
+        setup = RunSetup(
+            self.sender, self.receiver, self.path, self.population.groups, prof,
+            rng=rng, rep=rep, jitter_rng=rng.stream("shard:hostjitter", rep),
+            place_rng=rng.stream("shard:placement", rep),
+            bg_rng=rng.stream("shard:background", rep),
+            context="shard",
+            pads=plan.n_pad - n,
         )
-        sockets = SocketProfile.from_sysctls(
-            self.sender.sysctls, self.receiver.sysctls
-        )
-        burst = BurstModel(rng=place_rng)
-
-        # Per-group (per flow *class*) cost models and per-flow arrays,
-        # assembled in group order then padded.  Pads are inert copying
-        # flows excluded from the aggregate-ceiling mins.
-        send_models: list[CpuCostModel] = []
-        recv_models: list[CpuCostModel] = []
-        group_tx: list[CpuCostModel] = []
-        group_rx: list[CpuCostModel] = []
-        kinds: list[str] = []
-        pace_parts: list[np.ndarray] = []
-        slack_parts: list[np.ndarray] = []
-        for spec, count in self.population.groups:
-            model_tx = CpuCostModel(
-                self.sender, geom_tx, snd_place, zerocopy=spec.zerocopy
-            )
-            model_rx = CpuCostModel(
-                self.receiver, geom_tx, rcv_place,
-                skip_rx_copy=spec.skip_rx_copy,
-            )
-            group_tx.append(model_tx)
-            group_rx.append(model_rx)
-            send_models.extend([model_tx] * count)
-            recv_models.extend([model_rx] * count)
-            kinds.extend([spec.cc] * count)
-            pace_parts.append(
-                np.full(
-                    count,
-                    spec.pacing.effective_rate()
-                    if spec.pacing.enabled
-                    else np.inf,
-                )
-            )
-            slack_parts.append(
-                np.full(
-                    count,
-                    flow_release_slack(spec.pacing, spec.zerocopy, burst),
-                )
-            )
-        n_pads = plan.n_pad - n
-        if n_pads:
-            pad_tx = CpuCostModel(self.sender, geom_tx, snd_place)
-            pad_rx = CpuCostModel(self.receiver, geom_tx, rcv_place)
-            send_models.extend([pad_tx] * n_pads)
-            recv_models.extend([pad_rx] * n_pads)
-            kinds.extend(["cubic"] * n_pads)
-            pace_parts.append(np.full(n_pads, np.inf))
-            slack_parts.append(np.zeros(n_pads))
-        pace_eff = np.concatenate(pace_parts)
-        slacks = np.concatenate(slack_parts)
-        valid_b = np.zeros(plan.n_pad, dtype=bool)
-        valid_b[:n] = True
-        valid_f = valid_b.astype(float)
-
-        run_noise = 1.0 + jitter_rng.normal(
-            0.0, 0.012 + self.sender.vm.jitter + self.receiver.vm.jitter
-        )
-        run_noise = float(np.clip(run_noise, 0.85, 1.15))
-
-        snd_app_share = min(1.0, len(snd_place.app_cores) / n)
-        rcv_app_share = min(1.0, len(rcv_place.app_cores) / n)
-        rcv_irq_share = min(1.0, len(rcv_place.irq_cores) / n)
-
-        eff = geom_tx.wire_efficiency
-        path_cap_good = self.path.capacity * eff
-        backbone = SwitchModel(
-            model=self.path.switch.model,
-            shared_buffer_bytes=self.path.switch.shared_buffer_bytes,
-            supports_flow_control=False,
-        )
-        q_switch = SharedBufferQueue(backbone, drain_rate=path_cap_good)
-        ring_switch = SwitchModel(
-            model="rx-ring",
-            shared_buffer_bytes=self.receiver.rx_ring_bytes(),
-            supports_flow_control=self.path.flow_control,
-        )
-        q_ring = SharedBufferQueue(ring_switch, drain_rate=path_cap_good)
-
-        agg_tx = min(m.aggregate_tx_ceiling() for m in group_tx) * run_noise
-        agg_rx_base = (
-            min(m.aggregate_rx_ceiling() for m in group_rx) * run_noise
-        )
-        budget_tx = self.sender.core_cycles_per_sec() * run_noise
-        budget_rx = self.receiver.core_cycles_per_sec() * run_noise
-
+        valid = np.zeros(plan.n_pad, dtype=bool)
+        valid[:n] = True
         metrics = MetricsAccumulator(0, prof.duration, prof.omit)
-        base_rtt = self.path.rtt_sec
-
-        # Hoisted loop invariants — same forms as the unsharded driver.
-        mss = geom_tx.mss
-        react10 = 10 * mss
-        fp_floor = 64 * geom_tx.gso_size
-        fp_cap = sockets.max_send_window * 2.0
-        l3_20 = 20.0 * self.receiver.cpu.l3_effective_bytes
-        n_exposure = min(1.0, n / 4.0)
-        physical = self.path.bottleneck.rate_bytes_per_sec
-        bg_mean = self.path.background.mean_bytes_per_sec
-        path_capacity = self.path.capacity
-        cap_floor = 0.05 * path_cap_good
-        cap_avg = max(cap_floor, min(path_capacity, physical - bg_mean) * eff)
-        capacity = min(cap_avg, agg_tx)
-        line1_den = max(
-            min(self.sender.nic.speed_bytes_per_sec, physical) * eff, 1.0
-        )
-        line2_den = max(physical * eff, 1.0)
-        buf1 = self.path.switch.shared_buffer_bytes
-        buf2 = self.receiver.rx_ring_bytes()
-        bg_active = self.path.background.active
-        flow_control = self.path.flow_control
-        bg_sample = 0.0
-        cap_net = max(cap_floor, min(path_capacity, physical - bg_sample) * eff)
-        fill1 = max(0.0, 1.0 - cap_net / line1_den)
-        drained1 = cap_net * dt
-        all_smooth = not bool(slacks[:n].any())
-        max_window = sockets.max_window
-        n_ticks = int(round(prof.duration / dt))
-        steps_per_bg = max(1, int(round(0.02 / dt)))
 
         # Per-run persistent max-min weights, drawn per block from that
         # block's stream (the shard-invariant unit of randomness).
@@ -1087,97 +897,47 @@ class ShardedFlowSimulator:
         for block in range(plan.n_blocks):
             lanes = slice(block * BLOCK_FLOWS, (block + 1) * BLOCK_FLOWS)
             block_model = BurstModel(rng=burst_rngs[block])
-            persistent_w[lanes] = block_model.persistent_weights(slacks[lanes])
+            persistent_w[lanes] = block_model.persistent_weights(setup.slacks[lanes])
         persistent_w[n:] = 0.0
 
         # Shared buffers: the block-partials exchange, the 2-float
         # control channel, and the per-flow delivered-bytes accumulator.
         segments: list[SharedMemory] = []
-        if use_procs:
-            seg_ex = SharedMemory(
-                create=True, size=plan.n_blocks * _N_COLS * _F64
-            )
-            seg_ctl = SharedMemory(create=True, size=2 * _F64)
-            seg_acc = SharedMemory(create=True, size=plan.n_pad * _F64)
-            segments = [seg_ex, seg_ctl, seg_acc]
-            self.last_shm_names.extend(seg.name for seg in segments)
-            exchange = np.ndarray(
-                (plan.n_blocks, _N_COLS), dtype=np.float64, buffer=seg_ex.buf
-            )
-            ctl = np.ndarray((2,), dtype=np.float64, buffer=seg_ctl.buf)
-            accum = np.ndarray(
-                (plan.n_pad,), dtype=np.float64, buffer=seg_acc.buf
-            )
-            exchange.fill(0.0)
-            ctl.fill(0.0)
-            accum.fill(0.0)
-        else:
-            exchange = np.zeros((plan.n_blocks, _N_COLS))
-            ctl = np.zeros(2)
-            accum = np.zeros(plan.n_pad)
 
-        workers = []
-        for shard in range(plan.shards):
-            f0, f1 = plan.flow_range(shard)
-            b0, b1 = plan.block_range(shard)
-            batch = CcBatch.from_kinds(kinds[f0:f1], mss=float(mss))
-            kern = VectorKernel.from_batch(
-                batch,
-                send_models[f0:f1],
-                recv_models[f0:f1],
-                run_noise=run_noise,
-                snd_app_share=snd_app_share,
-                rcv_app_share=rcv_app_share,
-                rcv_irq_share=rcv_irq_share,
-                budget_rx=budget_rx,
-                agg_rx_base=agg_rx_base,
-            )
-            workers.append(
-                _ShardWorker(
-                    shard,
-                    plan,
-                    kern,
-                    pace_eff=pace_eff[f0:f1],
-                    slacks=slacks[f0:f1],
-                    persistent_w=persistent_w[f0:f1],
-                    valid_f=valid_f[f0:f1],
-                    valid_b=valid_b[f0:f1],
-                    burst_rngs=burst_rngs[b0:b1],
-                    drop_rngs=drop_rngs[b0:b1],
-                    exchange=exchange,
-                    accum=accum,
-                    dt=dt,
-                    omit=prof.omit,
-                    mss=float(mss),
-                    react10=float(react10),
-                    fp_floor=float(fp_floor),
-                    fp_cap=float(fp_cap),
-                    max_window=float(max_window),
-                    all_smooth=all_smooth,
-                )
-            )
+        def zeros(*shape: int) -> np.ndarray:
+            if not use_procs:
+                return np.zeros(shape)
+            seg = SharedMemory(create=True, size=int(np.prod(shape)) * _F64)
+            segments.append(seg)
+            self.last_shm_names.append(seg.name)
+            view = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
+            view.fill(0.0)
+            return view
 
-        bus = trace_active()
-        want_probe = bus is not None and bus.wants("probe")
-        probe_stride = 0
-        if want_probe:
-            probe_stride = max(1, int(round(bus.probe_interval / dt)))
-        if bus is not None:
-            # Same wire format as the unsharded run.start — no shard
-            # count: the event stream must be shard-count-invariant.
-            bus.emit(
-                "run",
-                "run.start",
-                rep=rep,
-                flows=n,
-                path=self.path.name,
-                duration=prof.duration,
-                tick=dt,
-                rtt_ms=units.seconds_to_ms(base_rtt),
-                flow_control=flow_control,
+        exchange = zeros(plan.n_blocks, _N_COLS)
+        ctl = zeros(2)
+        accum = zeros(plan.n_pad)
+        workers = [
+            _ShardWorker(
+                shard, plan, setup, persistent_w=persistent_w, valid=valid,
+                burst_rngs=burst_rngs, drop_rngs=drop_rngs, exchange=exchange,
+                accum=accum,
             )
+            for shard in range(plan.shards)
+        ]
 
-        fast_q = bus is None
+        def apportion(src: int, volume: float, total: float, dst: int) -> None:
+            """Split a global drop volume over blocks ∝ column ``src``."""
+            if volume > 0.0 and total > 0.0:
+                np.multiply(exchange[:, src], volume / total, out=exchange[:, dst])
+            else:
+                exchange[:, dst] = 0.0
+
+        # Same wire format as the unsharded run.start — no shard count:
+        # the event stream must be shard-count-invariant.
+        setup.emit_run_start(rep)
+        bus = setup.bus
+        capacity = setup.capacity
         transport = (
             _SharedMemTransport(workers, ctl)
             if use_procs
@@ -1185,37 +945,19 @@ class ShardedFlowSimulator:
         )
         red = np.add.reduce  # block partials fold in global block order
         try:
-            for step in range(n_ticks):
+            for step in range(setup.n_ticks):
                 now = (step + 1) * dt
-                if bus is not None:
-                    bus.set_time(now)
-                if bg_active and step % steps_per_bg == 0:
-                    bg_sample = float(self.path.background.sample(bg_rng, 1)[0])
-                    cap_net = max(
-                        cap_floor,
-                        min(path_capacity, physical - bg_sample) * eff,
-                    )
-                    fill1 = max(0.0, 1.0 - cap_net / line1_den)
-                    drained1 = cap_net * dt
-                rtt = base_rtt + q_switch.occupancy / max(
-                    q_switch.drain_rate, 1.0
-                )
+                rtt = setup.begin_tick(step, now)
 
                 transport.phase(_CMD_CAPS, rtt)
 
-                total_foot = float(red(exchange[:, _FOOT]))
-                rx_exposure = min(1.0, total_foot / l3_20) * n_exposure
                 # The coordinator draws the rx-ceiling noise from its
                 # own stream every tick (the driver's fused draw is
                 # per-block here, so z cannot ride along with it).
-                noise_z = float(rx_rng.standard_normal())
-                z = noise_z if -2.5 <= noise_z <= 2.5 else (
-                    -2.5 if noise_z < -2.5 else 2.5
-                )
-                rx_noise = 1.0 + RX_CEILING_NOISE * rx_exposure * z
-                agg_rx = (
-                    agg_rx_base * (1.0 - WAN_RX_AGG_PENALTY * rx_exposure)
-                    * rx_noise
+                rcv_drain = setup.rx_drain(
+                    float(red(exchange[:, _FOOT])),
+                    float(rx_rng.standard_normal()),
+                    float(red(exchange[:, _RCV])),
                 )
 
                 # --- max-min allocation over block partials ----------
@@ -1246,110 +988,46 @@ class ShardedFlowSimulator:
                 # --- queues + packet-train loss ----------------------
                 offered1 = float(red(exchange[:, _SENT]))
                 tick_per_rtt = dt / max(rtt, dt)
-                q_switch.drain_rate = cap_net
-                occ1_before = q_switch.occupancy
-                if fast_q and occ1_before == 0.0 and offered1 <= drained1:  # repro: noqa-FLOAT001
-                    delivered1, dropped_std1 = offered1, 0.0
-                else:
-                    delivered1, dropped_std1 = q_switch.offer(offered1, dt)
-                del delivered1
-                trains_total = 0.0
-                if fill1 > 0.0 and not all_smooth:
-                    trains_total = float(red(exchange[:, _TRAIN]))
-                    headroom1 = max(0.0, buf1 - q_switch.occupancy)
-                    overflow1 = max(0.0, trains_total * fill1 - headroom1)
-                else:
-                    overflow1 = 0.0
-                ov1 = overflow1 * tick_per_rtt
+                dropped_std1, ov1, trains_total = setup.offer_switch(
+                    offered1, exchange[:, _TRAIN], tick_per_rtt
+                )
                 need_d1 = ov1 > 0.0 or dropped_std1 > 0.0
                 if need_d1:
-                    if ov1 > 0.0:
-                        np.multiply(
-                            exchange[:, _TRAIN],
-                            ov1 / trains_total,
-                            out=exchange[:, _D1T],
-                        )
-                    else:
-                        exchange[:, _D1T] = 0.0
-                    if dropped_std1 > 0.0 and offered1 > 0.0:
-                        np.multiply(
-                            exchange[:, _SENT],
-                            dropped_std1 / offered1,
-                            out=exchange[:, _D1S],
-                        )
-                    else:
-                        exchange[:, _D1S] = 0.0
+                    apportion(_TRAIN, ov1, trains_total, _D1T)
+                    apportion(_SENT, dropped_std1, offered1, _D1S)
                     transport.phase(_CMD_DROPS1, 0.0)
                     offered2 = float(red(exchange[:, _AFTER1]))
                 else:
                     offered2 = offered1
 
-                rcv_drain = min(agg_rx, float(red(exchange[:, _RCV])))
-                q_ring.drain_rate = rcv_drain
-                occ2_before = q_ring.occupancy
-                if fast_q and occ2_before == 0.0 and offered2 <= rcv_drain * dt:  # repro: noqa-FLOAT001
-                    dropped_std2 = 0.0
-                else:
-                    _, dropped_std2 = q_ring.offer(offered2, dt)
-                need_d2 = False
-                if not flow_control:
-                    fill2 = max(0.0, 1.0 - rcv_drain / line2_den)
-                    t_col = _TAFTER if need_d1 else _TRAIN
-                    basis_total = 0.0
-                    if fill2 > 0.0 and not all_smooth:
-                        basis_total = float(red(exchange[:, t_col]))
-                        headroom2 = max(0.0, buf2 - q_ring.occupancy)
-                        overflow2 = max(
-                            0.0, basis_total * fill2 - headroom2
-                        )
-                    else:
-                        overflow2 = 0.0
-                    ov2 = overflow2 * tick_per_rtt
-                    need_d2 = ov2 > 0.0 or dropped_std2 > 0.0
-                    if need_d2:
-                        if ov2 > 0.0:
-                            np.multiply(
-                                exchange[:, t_col],
-                                ov2 / basis_total,
-                                out=exchange[:, _D2T],
-                            )
-                        else:
-                            exchange[:, _D2T] = 0.0
-                        if dropped_std2 > 0.0 and offered2 > 0.0:
-                            s_col = _AFTER1 if need_d1 else _SENT
-                            np.multiply(
-                                exchange[:, s_col],
-                                dropped_std2 / offered2,
-                                out=exchange[:, _D2S],
-                            )
-                        else:
-                            exchange[:, _D2S] = 0.0
+                t_col = _TAFTER if need_d1 else _TRAIN
+                dropped_std2, ov2, basis_total = setup.offer_ring(
+                    offered2, rcv_drain, exchange[:, t_col], tick_per_rtt
+                )
+                need_d2 = ov2 > 0.0 or dropped_std2 > 0.0
+                if need_d2:
+                    apportion(t_col, ov2, basis_total, _D2T)
+                    apportion(
+                        _AFTER1 if need_d1 else _SENT, dropped_std2, offered2, _D2S
+                    )
                 transport.phase(_CMD_FEEDBACK, 1.0 if need_d2 else 0.0)
 
                 # --- metrics -----------------------------------------
                 any_drops = need_d1 or need_d2
                 retr_segments = (
-                    float(red(exchange[:, _DROPS])) / mss if any_drops else 0.0
+                    float(red(exchange[:, _DROPS])) / setup.mss
+                    if any_drops
+                    else 0.0
                 )
-                loss_events = int(red(exchange[:, _LOSSN]))
-                tx_app = float(red(exchange[:, _TXAPP])) / budget_tx
-                tx_irq = float(red(exchange[:, _TXIRQ])) / budget_tx
-                rx_app = float(red(exchange[:, _RXAPP])) / budget_rx
-                rx_irq = float(red(exchange[:, _RXIRQ])) / budget_rx
-                zc_sum = float(red(exchange[:, _ZC]))
                 delivered_sum = (
                     float(red(exchange[:, _DSUM])) if any_drops else offered1
                 )
-                metrics.record_tick(
-                    dt,
-                    _EMPTY,
-                    retr_segments,
-                    loss_events,
-                    (tx_app / n, tx_irq / n, rx_app / n, rx_irq / n),
-                    zc_sum / n,
-                    delivered_sum=delivered_sum,
+                setup.record_tick(
+                    metrics, _EMPTY, retr_segments, int(red(exchange[:, _LOSSN])),
+                    [red(exchange[:, col]) for col in range(_TXAPP, _ZC + 1)],
+                    delivered_sum,
                 )
-                if want_probe and step % probe_stride == 0:
+                if setup.want_probe and step % setup.probe_stride == 0:
                     # Globally-reduced values only, so the stream is
                     # shard-count-invariant.
                     bus.emit(
@@ -1359,12 +1037,12 @@ class ShardedFlowSimulator:
                         offered=round(offered1, 3),
                         delivered=round(delivered_sum, 3),
                         rtt=rtt,
-                        switch_occupancy=q_switch.occupancy,
-                        ring_occupancy=q_ring.occupancy,
+                        switch_occupancy=setup.q_switch.occupancy,
+                        ring_occupancy=setup.q_ring.occupancy,
                     )
             transport.end()
             result = metrics.finalize()
-            t_meas = max(metrics._measured_time, 1e-9)
+            t_meas = max(metrics.measured_time, 1e-9)
             # A fresh array: safe to return after the segments unlink.
             per_flow = accum[:n] / t_meas
         finally:
@@ -1381,14 +1059,5 @@ class ShardedFlowSimulator:
                 except FileNotFoundError:
                     pass
         result = dataclasses.replace(result, per_flow_goodput=per_flow)
-        if bus is not None:
-            bus.emit(
-                "run",
-                "run.end",
-                rep=rep,
-                flows=n,
-                gbps=round(result.total_gbps, 6),
-                retransmit_segments=round(result.retransmit_segments, 3),
-                loss_events=result.loss_events,
-            )
+        setup.emit_run_end(rep, result)
         return result

@@ -21,6 +21,7 @@ from repro.net.switch import SharedBufferQueue
 from repro.sim import sanitizer
 from repro.sim.flowsim import FlowSimulator, FlowSpec, SimProfile
 from repro.sim.sanitizer import SimSanitizer
+from repro.sim.shard import ShardedFlowSimulator
 from repro.testbeds.amlight import AmLightTestbed
 
 
@@ -39,6 +40,23 @@ def quick_sim(seed: int = 3, path: str = "wan54", **flow_kw) -> FlowSimulator:
         profile=SimProfile.quick(),
         rng=RngFactory(seed),
     )
+
+
+def quick_sharded(seed: int = 3, path: str = "wan54") -> ShardedFlowSimulator:
+    tb = AmLightTestbed(kernel="6.8")
+    snd, rcv = tb.host_pair()
+    return ShardedFlowSimulator(
+        snd, rcv, tb.path(path),
+        flows=[FlowSpec()],
+        profile=SimProfile.quick(),
+        rng=RngFactory(seed),
+        shards=1,
+        mode="inproc",
+    )
+
+
+#: Both flow engines share one link step, so both carry the sanitizer.
+ENGINES = {"flowsim": quick_sim, "shard": quick_sharded}
 
 
 class TestToggle:
@@ -217,7 +235,8 @@ class TestFlowsimWiring:
         assert a.total_gbps == b.total_gbps
         assert a.retransmit_segments == b.retransmit_segments
 
-    def test_broken_conservation_is_caught(self, monkeypatch):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_broken_conservation_is_caught(self, monkeypatch, engine):
         original = SharedBufferQueue.offer
 
         def lying_offer(self, arrival_bytes, dt):
@@ -225,7 +244,7 @@ class TestFlowsimWiring:
             return delivered + 1e9, dropped  # mint a gigabyte
 
         monkeypatch.setattr(SharedBufferQueue, "offer", lying_offer)
-        sim = quick_sim()
+        sim = ENGINES[engine]()
         with sanitizer.sanitized():
             with pytest.raises(SanitizerViolation, match="created"):
                 sim.run()
