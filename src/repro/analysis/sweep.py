@@ -4,19 +4,13 @@ Several analyses want "run this flow configuration over a grid of one
 or two parameters and collect a metric" — the optmem sweep, pacing
 sweeps, kernel ladders, and user what-ifs.  :func:`sweep1d` and
 :func:`sweep2d` capture that pattern once, returning labelled records
-that render as tables or feed further analysis.
-
-Both take an optional ``executor`` (anything with an order-preserving
-``map(fn, items) -> list`` method, e.g.
-:class:`~repro.runner.executors.ProcessExecutor`) so independent grid
-points can run on worker processes; the default is an inline serial
-loop.  Point order in the result is the grid order either way.
+that render as tables or feed further analysis.  Points run inline,
+in grid order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable
 
 __all__ = ["SweepPoint", "SweepResult", "sweep1d", "sweep2d"]
@@ -88,26 +82,14 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _measure_point(measure: Callable[..., dict], params: dict) -> dict:
-    """Top-level (picklable) trampoline for executor-driven sweeps."""
-    return measure(**params)
-
-
 def _run_grid(
-    name: str,
-    measure: Callable[..., dict],
-    grid: list[dict],
-    executor,
+    name: str, measure: Callable[..., dict], grid: list[dict]
 ) -> SweepResult:
-    if executor is None:
-        metrics_list = [measure(**params) for params in grid]
-    else:
-        metrics_list = executor.map(partial(_measure_point, measure), grid)
     return SweepResult(
         name=name,
         points=[
-            SweepPoint(params=params, metrics=metrics)
-            for params, metrics in zip(grid, metrics_list)
+            SweepPoint(params=params, metrics=measure(**params))
+            for params in grid
         ],
     )
 
@@ -117,16 +99,13 @@ def sweep1d(
     param: str,
     values: Iterable,
     measure: Callable[..., dict],
-    executor=None,
 ) -> SweepResult:
     """Run ``measure(param=value)`` over the grid.
 
-    ``measure`` returns a dict of metrics for each point.  With an
-    ``executor``, points run through it (``measure`` and the values
-    must then be picklable); results keep grid order regardless.
+    ``measure`` returns a dict of metrics for each point.
     """
     grid = [{param: value} for value in values]
-    return _run_grid(name, measure, grid, executor)
+    return _run_grid(name, measure, grid)
 
 
 def sweep2d(
@@ -136,11 +115,10 @@ def sweep2d(
     param_b: str,
     values_b: Iterable,
     measure: Callable[..., dict],
-    executor=None,
 ) -> SweepResult:
     """Run ``measure`` over the cross product of two parameter grids."""
     values_b = list(values_b)
     grid = [
         {param_a: a, param_b: b} for a in values_a for b in values_b
     ]
-    return _run_grid(name, measure, grid, executor)
+    return _run_grid(name, measure, grid)

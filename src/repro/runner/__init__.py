@@ -7,9 +7,9 @@ source digest of ``src/repro``).  Entry points:
 
 * :func:`run_experiments` / :func:`run_tasks` — campaign API used by
   ``repro run``, the EXPERIMENTS.md generator, and the benchmarks;
-* :class:`SerialExecutor` / :class:`ProcessExecutor` — order-preserving
-  point executors pluggable into ``sweep1d``/``sweep2d`` and
-  ``TestHarness.run_matrix``;
+* :class:`InlineTransport` / :class:`PoolRoundTransport` — the two
+  places a task can run: in-process, or on one warm process pool that
+  ``repro run -j N`` and ``repro serve`` share;
 * :mod:`repro.runner.cache` — the content-addressed store itself.
 
 Parallelism is an implementation detail: the characterization tests in
@@ -31,29 +31,21 @@ from repro.runner.core import (
     SchedulerCore,
     plan_campaign,
 )
-from repro.runner.executors import ProcessExecutor, SerialExecutor
 from repro.runner.scheduler import RunnerConfig, run_experiments, run_tasks
 from repro.runner.tasks import RunReport, TaskResult, TaskSpec, task_seed
-from repro.runner.transport import (
-    InlineTransport,
-    PersistentPoolTransport,
-    PoolRoundTransport,
-)
+from repro.runner.transport import InlineTransport, PoolRoundTransport
 
 __all__ = [
     "BackoffSchedule",
     "CampaignPlan",
     "InlineTransport",
-    "PersistentPoolTransport",
     "PoolRoundTransport",
-    "ProcessExecutor",
     "RetryPolicy",
     "SchedulerCore",
     "plan_campaign",
     "ResultCache",
     "RunReport",
     "RunnerConfig",
-    "SerialExecutor",
     "TaskResult",
     "TaskSpec",
     "cache_key",

@@ -33,6 +33,7 @@ from repro.tools.harness import HarnessConfig
 __all__ = [
     "CACHE_FORMAT",
     "ResultCache",
+    "cache_entry",
     "cache_key",
     "canonical_json",
     "default_cache_dir",
@@ -96,6 +97,27 @@ def cache_key(exp_id: str, config: HarnessConfig, src_digest: str) -> str:
         "source": src_digest,
     }
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+
+
+def cache_entry(
+    exp_id: str,
+    config: HarnessConfig,
+    src_digest: str,
+    elapsed: float,
+    result: dict,
+) -> dict:
+    """The stored form of one finished run (``put`` adds format and key).
+
+    ``repro run`` and ``repro serve`` both write entries through this,
+    so either one's entries are warm hits for the other.
+    """
+    return {
+        "exp_id": exp_id,
+        "config": config.to_dict(),
+        "source": src_digest,
+        "elapsed": elapsed,
+        "result": result,
+    }
 
 
 @dataclass

@@ -6,8 +6,8 @@
 backoff with RngFactory-derived jitter), and actually *running* things
 on a process pool.  This module owns the first two as plain data and a
 small state machine, so every execution surface — ``repro run``'s
-per-round pools, the ``repro serve`` daemon's persistent pool, and any
-future remote executor — schedules identically:
+campaign rounds, the ``repro serve`` daemon's one-task-at-a-time
+dispatch, and any future remote executor — schedules identically:
 
 * :func:`plan_campaign` — given specs and the cache, decide which
   slots are served from storage and which become pending work, in

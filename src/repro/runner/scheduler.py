@@ -5,9 +5,9 @@ an execution transport and returns a
 :class:`~repro.runner.tasks.RunReport` in submission order.  The
 decisions live in :mod:`repro.runner.core` (what runs, what the cache
 serves, how crashed tasks retry); the machinery lives in
-:mod:`repro.runner.transport` (in-process, per-round process pools, or
-the daemon's persistent warm pool).  Three properties the test net
-locks down:
+:mod:`repro.runner.transport` (in-process, or one warm process pool
+that is discarded and rebuilt when a worker dies).  Three properties
+the test net locks down:
 
 * **Determinism** — a task's rows depend only on (code, exp_id,
   config); worker count, transport choice, submission order, and
@@ -33,7 +33,12 @@ from pathlib import Path
 
 from repro.core.errors import ConfigurationError, RunnerError
 from repro.experiments.base import ExperimentResult
-from repro.runner.cache import ResultCache, default_cache_dir, source_digest
+from repro.runner.cache import (
+    ResultCache,
+    cache_entry,
+    default_cache_dir,
+    source_digest,
+)
 from repro.runner.core import RetryPolicy, SchedulerCore, plan_campaign
 from repro.runner.tasks import RunReport, TaskResult, TaskSpec
 from repro.runner.transport import InlineTransport, PoolRoundTransport
@@ -178,10 +183,9 @@ def run_tasks(
     """Run a campaign of tasks; results come back in submission order.
 
     ``transport`` overrides the execution surface (default: in-process
-    for ``jobs=1``, per-round process pools otherwise).  A caller-owned
-    transport — the daemon's
-    :class:`~repro.runner.transport.PersistentPoolTransport` — is left
-    open on return; transports built here are closed here.
+    for ``jobs=1``, a :class:`~repro.runner.transport.PoolRoundTransport`
+    otherwise).  A caller-owned transport is left open on return;
+    transports built here are closed here.
     """
     runner = runner or RunnerConfig()
     # wall-clock here times the campaign for the report, never a
@@ -249,13 +253,13 @@ def run_tasks(
             task = slots[index]
             cache.put(
                 key,
-                {
-                    "exp_id": spec.exp_id,
-                    "config": spec.config.to_dict(),
-                    "source": src_digest,
-                    "elapsed": task.elapsed,
-                    "result": task.result.to_dict(),
-                },
+                cache_entry(
+                    spec.exp_id,
+                    spec.config,
+                    src_digest,
+                    task.elapsed,
+                    task.result.to_dict(),
+                ),
             )
 
     return RunReport(

@@ -42,8 +42,8 @@ def task_seed(root_seed: int, label: str) -> int:
     Forking the factory keyed by the task label gives every task its own
     collision-checked namespace — the same derivation the simulator uses
     for per-subsystem streams, so scheduling-level randomness (retry
-    backoff jitter, point-level executors) stays reproducible however
-    tasks are ordered or distributed across workers.
+    backoff jitter) stays reproducible however tasks are ordered or
+    distributed across workers.
     """
     return RngFactory(seed=root_seed).fork(f"task:{label}").seed
 

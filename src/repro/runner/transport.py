@@ -1,8 +1,8 @@
 """Execution transports: where pending tasks actually run.
 
 The scheduling core (:mod:`repro.runner.core`) decides *what* runs and
-*when to retry*; a transport decides *where*.  All three implement the
-same two-method surface::
+*when to retry*; a transport decides *where*.  Both transports
+implement the same two-method surface::
 
     run_round(pending) -> (results, crashed)
     close()
@@ -17,33 +17,40 @@ again.
 
 * :class:`InlineTransport` — no processes at all (``--jobs 1``): the
   behavioural baseline.
-* :class:`PoolRoundTransport` — ``repro run``'s historical shape: a
-  fresh :class:`~concurrent.futures.ProcessPoolExecutor` per round, so
-  a broken pool is discarded wholesale and crash recovery is pool
-  reconstruction.
-* :class:`PersistentPoolTransport` — the ``repro serve`` daemon's
-  shape: one long-lived, pre-warmed pool reused across rounds *and*
-  across campaigns, with a ``submit()`` surface for request-at-a-time
-  dispatch.  Workers pre-import numpy, the experiment registry, and
-  the simulation kernels, so a cold request never pays import cost
-  inside its latency budget.
+* :class:`PoolRoundTransport` — one warm process pool, built on first
+  dispatch and reused across rounds (and, for a caller-owned transport
+  such as the ``repro serve`` daemon's, across campaigns), with a
+  ``submit()`` surface for request-at-a-time dispatch.  ``repro run
+  -j N`` and ``repro serve`` both run on it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.errors import RunnerError
-from repro.runner.executors import pool_context
 from repro.runner.worker import execute_task
 
 __all__ = [
     "InlineTransport",
     "PoolRoundTransport",
-    "PersistentPoolTransport",
+    "pool_context",
     "warm_worker",
 ]
+
+
+def pool_context():
+    """The multiprocessing context the runner uses for worker pools.
+
+    ``fork`` where available (Linux): workers inherit the parent's
+    modules and ``sys.path``.  Elsewhere, the platform default.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        return multiprocessing.get_context()
 
 
 def warm_worker() -> None:
@@ -65,8 +72,6 @@ def warm_worker() -> None:
 class InlineTransport:
     """Run everything in-process, in submission order (``--jobs 1``)."""
 
-    jobs = 1
-
     def run_round(self, pending: list) -> tuple[dict, list]:
         results = {}
         for index, spec, _key in pending:
@@ -77,66 +82,22 @@ class InlineTransport:
         pass
 
 
-def _collect_round(pool: ProcessPoolExecutor, pending: list) -> tuple[dict, list]:
-    """Fan ``pending`` out on ``pool``; separate finishers from crashes.
-
-    Deterministic exceptions raised *by the experiment* re-raise here,
-    exactly as a serial run would; only a dying worker process
-    (``BrokenProcessPool``) lands a task in the crashed list.
-    """
-    futures = {
-        pool.submit(execute_task, spec): (index, spec, key)
-        for index, spec, key in pending
-    }
-    results: dict[int, dict] = {}
-    crashed: list = []
-    not_done = set(futures)
-    while not_done:
-        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-        for fut in done:
-            index, spec, key = futures[fut]
-            try:
-                results[index] = fut.result()
-            except BrokenProcessPool:
-                crashed.append((index, spec, key))
-    return results, crashed
-
-
 class PoolRoundTransport:
-    """A fresh process pool per round — crash recovery by rebuild."""
+    """One warm process pool, reused until it breaks or is closed.
 
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise RunnerError("need jobs >= 1")
-        self.jobs = jobs
-
-    def run_round(self, pending: list) -> tuple[dict, list]:
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=pool_context()
-        ) as pool:
-            return _collect_round(pool, pending)
-
-    def close(self) -> None:  # each round owns (and closed) its pool
-        pass
-
-
-class PersistentPoolTransport:
-    """One long-lived warm pool, reused across rounds and campaigns.
-
-    The daemon's transport: the pool is built lazily on first dispatch
-    and then survives until :meth:`close`, so every request after the
-    first is served by workers that have already paid interpreter
-    start-up and imports.  A broken pool is torn down and rebuilt on
-    the next dispatch (``rebuilds`` counts how often — the daemon's
-    ``/stats`` surfaces it).
+    The pool is built lazily on first dispatch: :meth:`run_round`
+    sizes it to ``min(jobs, len(pending))``, :meth:`submit` to
+    ``jobs``.  It then survives until :meth:`close`, so every round
+    after the first is served by workers that have already paid
+    interpreter start-up and imports.  A dying worker breaks the pool
+    (``BrokenProcessPool``); the transport discards it and the next
+    dispatch builds a fresh one (``rebuilds`` counts how often — the
+    daemon's ``/stats`` surfaces it).
 
     Two surfaces:
 
-    * :meth:`run_round` — the scheduler-core round protocol, so
-      ``run_tasks(..., transport=PersistentPoolTransport(n))`` behaves
-      exactly like the per-round pool (the parity tests compare
-      digests);
+    * :meth:`run_round` — the scheduler-core round protocol used by
+      :func:`~repro.runner.scheduler.run_tasks`;
     * :meth:`submit` — request-at-a-time dispatch returning the raw
       :class:`~concurrent.futures.Future`, which the asyncio daemon
       wraps with ``asyncio.wrap_future``.
@@ -152,10 +113,10 @@ class PersistentPoolTransport:
         #: Times a broken pool was discarded.
         self.rebuilds = 0
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
+                max_workers=workers,
                 mp_context=pool_context(),
                 initializer=warm_worker,
             )
@@ -164,7 +125,7 @@ class PersistentPoolTransport:
     def submit(self, spec) -> Future:
         """Dispatch one task to the warm pool."""
         self.dispatched += 1
-        return self._ensure_pool().submit(execute_task, spec)
+        return self._ensure_pool(self.jobs).submit(execute_task, spec)
 
     def discard_pool(self) -> None:
         """Drop a (presumed broken) pool; the next dispatch rebuilds."""
@@ -174,16 +135,34 @@ class PersistentPoolTransport:
             self.rebuilds += 1
 
     def run_round(self, pending: list) -> tuple[dict, list]:
-        pool = self._ensure_pool()
+        """Fan ``pending`` out on the pool; separate finishers from crashes.
+
+        Deterministic exceptions raised *by the experiment* re-raise
+        here, exactly as a serial run would, and leave the (healthy)
+        pool in place; only a dying worker process lands a task in the
+        crashed list.
+        """
+        pool = self._ensure_pool(min(self.jobs, len(pending)))
         self.dispatched += len(pending)
         try:
-            results, crashed = _collect_round(pool, pending)
-        except BrokenProcessPool:
-            # submit() on an already-broken pool; deterministic
-            # experiment errors propagate past this and leave the
-            # (healthy) pool in place.
+            futures = {
+                pool.submit(execute_task, spec): (index, spec, key)
+                for index, spec, key in pending
+            }
+        except BrokenProcessPool:  # submit() on an already-broken pool
             self.discard_pool()
             raise
+        results: dict[int, dict] = {}
+        crashed: list = []
+        not_done = set(futures)
+        while not_done:
+            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+            for fut in done:
+                index, spec, key = futures[fut]
+                try:
+                    results[index] = fut.result()
+                except BrokenProcessPool:
+                    crashed.append((index, spec, key))
         if crashed:
             self.discard_pool()
         return results, crashed

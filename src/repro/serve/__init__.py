@@ -7,7 +7,8 @@ Layers, bottom up:
 * :mod:`repro.serve.http` — hand-rolled HTTP/1.1 + SSE over asyncio
   streams (stdlib only, like everything else here);
 * :mod:`repro.serve.pool` — asyncio façade over the runner's
-  :class:`~repro.runner.transport.PersistentPoolTransport`;
+  :class:`~repro.runner.transport.PoolRoundTransport`, the same warm
+  pool ``repro run -j N`` uses;
 * :mod:`repro.serve.app` — the daemon: routes, request coalescing,
   cache fronting, trace tailing;
 * :mod:`repro.serve.client` — a blocking stdlib client for checks and

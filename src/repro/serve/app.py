@@ -8,8 +8,8 @@ pre-warmed worker pool, and experiments become requests:
 * ``POST /experiments`` — submit ``{"exp_id", "config"|"profile"}``;
   replies with the result digest.  Cache hits answer without touching
   the pool; identical in-flight configs **coalesce** onto one
-  underlying run (single-flight keyed by the cache content key), so a
-  stampede of equal requests costs one execution.
+  underlying run (single-flight keyed by the cache content key and the
+  trace flag), so a stampede of equal requests costs one execution.
 * ``GET /results/<digest>`` — O(1) lookup of a previously produced
   result by its digest (or directly by cache key).
 * ``GET /healthz`` / ``GET /stats`` — liveness and the counters the
@@ -31,17 +31,17 @@ import contextlib
 import threading
 from pathlib import Path
 
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, RunnerError
 from repro.experiments.base import ExperimentResult
 from repro.runner.cache import (
     ResultCache,
+    cache_entry,
     cache_key,
     default_cache_dir,
     source_digest,
 )
-from repro.runner.core import RetryPolicy
 from repro.runner.tasks import TaskSpec
-from repro.runner.transport import PersistentPoolTransport
+from repro.runner.transport import PoolRoundTransport
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
     HttpError,
@@ -89,7 +89,7 @@ class ServerStats:
 
 
 class ExperimentServer:
-    """One asyncio daemon over (cache, persistent pool)."""
+    """One asyncio daemon over (cache, warm process pool)."""
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
@@ -99,20 +99,15 @@ class ExperimentServer:
             self.config.trace_dir or cache_root / "serve-traces"
         )
         self.src_digest = source_digest()
-        self.pool = AsyncWorkerPool(
-            PersistentPoolTransport(self.config.workers),
-            RetryPolicy(
-                max_attempts=self.config.max_attempts,
-                backoff=self.config.retry_backoff,
-                seed=self.config.seed,
-            ),
-        )
+        self.pool = AsyncWorkerPool(PoolRoundTransport(self.config.workers))
         self.stats = ServerStats()
-        #: Single-flight table: cache key -> future resolving to the
-        #: worker payload.  Presence means "this exact config is
+        #: Single-flight table: (cache key, traced) -> future resolving
+        #: to the worker payload.  Presence means "this exact config is
         #: executing right now"; later identical submissions await the
-        #: same future instead of dispatching again.
-        self._inflight: dict[str, asyncio.Future] = {}
+        #: same future instead of dispatching again.  The trace flag is
+        #: part of the key so a traced submission never rides an
+        #: untraced run (which spills no events to tail).
+        self._inflight: dict[tuple[str, bool], asyncio.Future] = {}
         #: result digest -> cache key, for ``GET /results/<digest>``.
         self._digest_index: dict[str, str] = {}
         #: cache key -> spilled JSONL path, for the SSE tail route.
@@ -150,7 +145,7 @@ class ExperimentServer:
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self.pool.close()
+        self.pool.transport.close()
 
     # -- connection loop ------------------------------------------------
 
@@ -225,6 +220,11 @@ class ExperimentServer:
         except HttpError as exc:
             writer.write(error_response(exc.status, exc.message, keep_alive=True))
             return True
+        except RunnerError as exc:
+            # Workers kept crashing: the server, not the request, failed.
+            self.stats.errors += 1
+            writer.write(error_response(503, str(exc), keep_alive=True))
+            return True
         except ReproError as exc:
             self.stats.errors += 1
             writer.write(error_response(400, str(exc), keep_alive=True))
@@ -255,8 +255,8 @@ class ExperimentServer:
         doc.update(
             {
                 "in_flight": len(self._inflight),
-                "dispatched": self.pool.dispatched,
-                "pool_rebuilds": self.pool.rebuilds,
+                "dispatched": self.pool.transport.dispatched,
+                "pool_rebuilds": self.pool.transport.rebuilds,
                 "cache": {
                     "hits": self.cache.hits,
                     "misses": self.cache.misses,
@@ -372,7 +372,7 @@ class ExperimentServer:
             if chunk:
                 idle_polls = 0
             else:
-                if key not in self._inflight:
+                if (key, True) not in self._inflight:
                     idle_polls += 1
                     if idle_polls >= 2:
                         # Finished (or crashed) with no finalize record:
@@ -438,7 +438,7 @@ class ExperimentServer:
                 )
             self.stats.misses += 1
 
-        inflight = self._inflight.get(key)
+        inflight = self._inflight.get((key, trace))
         if inflight is not None:
             # Single-flight: ride the run that is already executing.
             # shield() keeps one cancelled waiter (client hung up) from
@@ -465,7 +465,7 @@ class ExperimentServer:
     ) -> dict:
         """Execute as the single-flight leader for ``key``."""
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
+        self._inflight[key, trace] = future
         try:
             spec = TaskSpec(
                 exp_id=exp_id,
@@ -482,13 +482,13 @@ class ExperimentServer:
             payload = await self.pool.run(spec)
             self.cache.put(
                 key,
-                {
-                    "exp_id": exp_id,
-                    "config": config.to_dict(),
-                    "source": self.src_digest,
-                    "elapsed": payload["elapsed"],
-                    "result": payload["result"],
-                },
+                cache_entry(
+                    exp_id,
+                    config,
+                    self.src_digest,
+                    payload["elapsed"],
+                    payload["result"],
+                ),
             )
             if not future.cancelled():
                 future.set_result(payload)
@@ -502,7 +502,7 @@ class ExperimentServer:
                 future.exception()
             raise
         finally:
-            del self._inflight[key]
+            del self._inflight[key, trace]
 
     @staticmethod
     def _submit_doc(

@@ -50,11 +50,6 @@ class ServeConfig:
     trace_dir: Path | None = None
     max_body: int = DEFAULT_MAX_BODY
     tail_poll: float = DEFAULT_TAIL_POLL
-    #: Crash-retry knobs, mirrored into a
-    #: :class:`~repro.runner.core.RetryPolicy` by the server.
-    max_attempts: int = 3
-    retry_backoff: float = 0.25
-    seed: int = 2024
 
     def __post_init__(self) -> None:
         if self.workers < 1:

@@ -1,8 +1,8 @@
-"""Asyncio façade over the runner's persistent warm pool.
+"""Asyncio façade over the runner's warm process pool.
 
 The daemon dispatches one task at a time (requests arrive singly, not
 as campaigns), so instead of the scheduler's round protocol it wraps
-:meth:`PersistentPoolTransport.submit` futures with
+:meth:`PoolRoundTransport.submit` futures with
 ``asyncio.wrap_future`` and applies the *same* crash-retry policy the
 process runner uses — :class:`~repro.runner.core.RetryPolicy` pricing
 delays through :class:`~repro.runner.core.BackoffSchedule` — with
@@ -18,30 +18,18 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.core.errors import RunnerError
 from repro.runner.core import BackoffSchedule, RetryPolicy
 from repro.runner.tasks import TaskSpec
-from repro.runner.transport import PersistentPoolTransport
+from repro.runner.transport import PoolRoundTransport
 
 __all__ = ["AsyncWorkerPool"]
 
 
 class AsyncWorkerPool:
-    """Awaitable task execution on a shared persistent process pool."""
+    """Awaitable task execution on a shared warm process pool."""
 
-    def __init__(
-        self,
-        transport: PersistentPoolTransport,
-        policy: RetryPolicy | None = None,
-    ) -> None:
+    def __init__(self, transport: PoolRoundTransport) -> None:
         self.transport = transport
-        self.policy = policy or RetryPolicy()
+        self.policy = RetryPolicy()
         self._schedule = BackoffSchedule(self.policy)
-
-    @property
-    def dispatched(self) -> int:
-        return self.transport.dispatched
-
-    @property
-    def rebuilds(self) -> int:
-        return self.transport.rebuilds
 
     async def run(self, spec: TaskSpec) -> dict:
         """Execute one task; returns the worker payload.
@@ -65,6 +53,3 @@ class AsyncWorkerPool:
                         f"running {spec.exp_id}; giving up"
                     ) from None
                 await asyncio.sleep(self._schedule.next_delay())
-
-    def close(self) -> None:
-        self.transport.close()

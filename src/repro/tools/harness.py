@@ -203,22 +203,7 @@ class TestHarness:
         return HarnessResult(label=label, options=options, runs=runs)
 
     def run_matrix(
-        self, cases: list[tuple[str, Iperf3Options]], executor=None
+        self, cases: list[tuple[str, Iperf3Options]]
     ) -> list[HarnessResult]:
-        """Run a list of (label, options) cases, serially by default.
-
-        ``executor`` is anything with a ``map(fn, items) -> list`` method
-        preserving item order (e.g. the runner's
-        :class:`~repro.runner.executors.ProcessExecutor`); each case is
-        independent and deterministic, so the result list is identical
-        whatever the executor.
-        """
-        if executor is None:
-            return [self.run(opts, label) for label, opts in cases]
-        return executor.map(_run_harness_case, [(self, c) for c in cases])
-
-
-def _run_harness_case(item) -> HarnessResult:
-    """Top-level (picklable) trampoline for parallel ``run_matrix``."""
-    harness, (label, opts) = item
-    return harness.run(opts, label)
+        """Run a list of (label, options) cases, in order."""
+        return [self.run(opts, label) for label, opts in cases]

@@ -92,14 +92,6 @@ class TestSweep:
         rows = text.splitlines()[3:]
         assert all(row.count("|") == header.count("|") for row in rows)
 
-    def test_sweep_with_process_executor(self):
-        from repro.analysis.sweep import sweep1d
-        from repro.runner import ProcessExecutor
-
-        res = sweep1d("s", "x", [1, 2, 3], _square_metric,
-                      executor=ProcessExecutor(2))
-        assert res.column("y") == [1.0, 4.0, 9.0]
-
     def test_sweep_with_simulator(self):
         """End to end: pacing sweep through the real simulator."""
         from repro.core.rng import RngFactory
@@ -119,7 +111,3 @@ class TestSweep:
         values = res.column("gbps")
         assert values[0] == pytest.approx(10, rel=0.05)
         assert values == sorted(values)
-
-
-def _square_metric(x):
-    return {"y": float(x * x)}

@@ -23,7 +23,7 @@ from repro.core.rng import RngFactory
 from repro.experiments.base import ExperimentResult
 from repro.runner import (
     BackoffSchedule,
-    PersistentPoolTransport,
+    PoolRoundTransport,
     RetryPolicy,
     RunnerConfig,
     SchedulerCore,
@@ -352,7 +352,7 @@ class TestTransports:
         assert digest == load_golden("var")["digest"]
 
     def test_persistent_pool_is_reused_across_rounds(self):
-        transport = PersistentPoolTransport(jobs=2)
+        transport = PoolRoundTransport(jobs=2)
         try:
             spec = TaskSpec(exp_id="var", config=GOLDEN_CONFIG)
             first, _ = transport.run_round([(0, spec, "")])
@@ -372,7 +372,7 @@ class TestTransports:
     ):
         sentinel = tmp_path / "crashed-once"
         monkeypatch.setenv(CRASH_ONCE_ENV, f"var:{sentinel}")
-        transport = PersistentPoolTransport(jobs=2)
+        transport = PoolRoundTransport(jobs=2)
         try:
             spec = TaskSpec(exp_id="var", config=GOLDEN_CONFIG)
             pending = [(0, spec, "")]
@@ -395,7 +395,7 @@ class TestTransports:
         # results to the inline baseline.
         specs = [TaskSpec(exp_id="var", config=GOLDEN_CONFIG)]
         inline = run_tasks(specs, RunnerConfig(jobs=1, use_cache=False))
-        persistent = PersistentPoolTransport(jobs=2)
+        persistent = PoolRoundTransport(jobs=2)
         try:
             warm = run_tasks(
                 specs,

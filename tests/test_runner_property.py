@@ -51,20 +51,3 @@ def test_results_invariant_to_jobs_and_submission_order(
         assert task.result.digest() == baseline_digests[task.spec.exp_id], (
             f"{task.spec.exp_id} drifted at jobs={jobs}, order={order}"
         )
-
-
-@settings(max_examples=3, deadline=None)
-@given(values=st.permutations([1, 2, 3, 4, 5, 6]))
-def test_sweep_points_invariant_to_executor(values):
-    """sweep1d returns grid-ordered, executor-independent points."""
-    from repro.analysis.sweep import sweep1d
-    from repro.runner import ProcessExecutor
-
-    serial = sweep1d("s", "x", values, _measure)
-    pooled = sweep1d("s", "x", values, _measure, executor=ProcessExecutor(2))
-    assert [p.params for p in serial.points] == [p.params for p in pooled.points]
-    assert [p.metrics for p in serial.points] == [p.metrics for p in pooled.points]
-
-
-def _measure(x):
-    return {"y": float(x * x)}

@@ -1,4 +1,4 @@
-"""Scheduler behaviour: retries, errors, executors, seed derivation."""
+"""Scheduler behaviour: retries, errors, seed derivation."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError, RunnerError
 from repro.runner import (
-    ProcessExecutor,
     RunnerConfig,
-    SerialExecutor,
     TaskSpec,
     run_experiments,
     run_tasks,
@@ -100,25 +98,3 @@ class TestTaskSeed:
             "fig05", dataclasses.replace(GOLDEN_CONFIG, repetitions=3)
         )
         assert a.label != b.label
-
-
-def _square(x):
-    return x * x
-
-
-class TestExecutors:
-    def test_serial_preserves_order(self):
-        assert SerialExecutor().map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_process_matches_serial(self):
-        items = list(range(20))
-        assert ProcessExecutor(4).map(_square, items) == [
-            SerialExecutor().map(_square, items)[i] for i in range(20)
-        ]
-
-    def test_single_job_runs_inline(self):
-        assert ProcessExecutor(1).map(_square, [2]) == [4]
-
-    def test_rejects_zero_jobs(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(0)

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import time
 
 import pytest
 
 from repro.experiments import run_experiment
+from repro.runner import RunnerConfig, run_experiments
+from repro.runner.worker import CRASH_ONCE_ENV
 from repro.serve import ServeClient, ServeClientError, ServeConfig, running_server
 
 from tests._golden import GOLDEN_CONFIG, load_golden
@@ -106,6 +109,21 @@ class TestSubmit:
             client._request("POST", "/experiments", {"config": {}})
         assert caught.value.status == 400
 
+    def test_daemon_entry_is_a_warm_hit_for_run_experiments(
+        self, server, client
+    ):
+        # ``repro serve`` and ``repro run`` share one cache-entry format:
+        # a result the daemon stored is served warm to a batch campaign.
+        config = dataclasses.replace(
+            GOLDEN_CONFIG, seed=GOLDEN_CONFIG.seed + 4
+        )
+        doc = client.submit("var", config=config)
+        assert doc["cached"] is False
+        runner = RunnerConfig(cache_dir=server.cache.root)
+        report = run_experiments(["var"], config=config, runner=runner)
+        assert report.executed == 0
+        assert report.tasks[0].result.digest() == doc["digest"]
+
 
 class TestResults:
     def test_lookup_by_digest(self, client):
@@ -146,6 +164,25 @@ class TestTraceTail:
         assert [f["event"] for f in frames if f["event"] == "message"] == [
             "message"
         ]
+
+    def test_traced_submit_never_rides_an_untraced_run(self, client):
+        # A longer run than the golden config, so the untraced one is
+        # reliably still executing when the traced one arrives.
+        config = dataclasses.replace(
+            GOLDEN_CONFIG, seed=GOLDEN_CONFIG.seed + 3, duration=16.0
+        )
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            untraced = pool.submit(client.submit, "var", config)
+            deadline = time.monotonic() + 60
+            while client.stats()["in_flight"] != 1:
+                assert time.monotonic() < deadline, "untraced run never started"
+                time.sleep(0.005)
+            traced = client.submit("var", config=config, trace=True)
+            assert untraced.result()["digest"] == traced["digest"]
+        assert traced["coalesced"] is False
+        events = [f["event"] for f in client.tail(traced["digest"])]
+        assert events[0] == "header"
+        assert events[-1] == "end"
 
     def test_untraced_digest_has_no_tail(self, client):
         # A config that only ever ran untraced (same key as a traced
@@ -199,3 +236,33 @@ class TestConnectionReuse:
             assert all(a["ok"] for a in answers)
         finally:
             conn.close()
+
+
+class TestWorkerCrash:
+    """The daemon's crash-retry path, with real worker deaths."""
+
+    @pytest.fixture
+    def crash_client(self, tmp_path):
+        config = ServeConfig(port=0, workers=2, cache_dir=tmp_path / "cache")
+        with running_server(config) as srv:
+            yield ServeClient(srv.config.host, srv.port)
+
+    def test_crash_once_is_retried_on_a_rebuilt_pool(
+        self, crash_client, tmp_path, monkeypatch
+    ):
+        sentinel = tmp_path / "crashed-once"
+        monkeypatch.setenv(CRASH_ONCE_ENV, f"var:{sentinel}")
+        doc = crash_client.submit("var", config=GOLDEN_CONFIG)
+        assert sentinel.exists()  # the crash really happened
+        assert doc["digest"] == load_golden("var")["digest"]
+        assert crash_client.stats()["pool_rebuilds"] == 1
+
+    def test_repeated_crashes_are_a_503(self, crash_client, monkeypatch):
+        monkeypatch.setenv(CRASH_ONCE_ENV, "var:always")
+        with pytest.raises(ServeClientError) as caught:
+            crash_client.submit("var", config=GOLDEN_CONFIG)
+        assert caught.value.status == 503
+        assert "worker crashed 3 times running var; giving up" in str(
+            caught.value
+        )
+        assert crash_client.stats()["pool_rebuilds"] == 3
