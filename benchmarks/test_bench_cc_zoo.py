@@ -4,11 +4,13 @@ Times a 16-flow campaign whose flows cycle through every
 template-batchable congestion-control kind (the cc-zoo registry:
 cubic, reno, highspeed, htcp, scalable, westwood, plus two tuned-cubic
 parameterizations) on the 54 ms AmLight path, under both tick kernels.
-This is the worst case for the registry-driven batch dispatch — every
-``_ArrayGroup`` is live in the same :class:`~repro.tcp.cc.batch.CcBatch`
-— so the bench doubles as the perf contract for the grouped stepper:
-the vector kernel must clear a ticks/sec floor and stay byte-identical
-to the scalar reference.
+With two flows per kind every algorithm group is narrower than
+:data:`~repro.tcp.cc.batch.OBJECT_LANES`, so
+:class:`~repro.tcp.cc.batch.CcBatch` steps all sixteen through their
+scalar objects in one object group: an array stepper's flat per-group
+cost would be paid seven times over for two lanes each.  The bench is
+the perf contract for that choice — the vector kernel must clear a
+ticks/sec floor and stay byte-identical to the scalar reference.
 
 Refreshes ``BENCH_9.json`` at the repo root.  Run with::
 
@@ -30,9 +32,8 @@ from repro.testbeds.amlight import AmLightTestbed
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_9.json"
 
-#: Two flows of each batchable kind: all seven stepper groups live at
-#: once (the two tunable parameterizations share one group with
-#: per-flow parameter rows).
+#: Two flows of each batchable kind: seven algorithms, each too narrow
+#: for its array stepper.
 KINDS = (
     "cubic",
     "reno",

@@ -42,8 +42,10 @@ class AsyncWorkerPool:
         attempts = 0
         while True:
             attempts += 1
-            future = self.transport.submit(spec)
             try:
+                # A pool another request's crash broke, and that request
+                # has not discarded yet, raises from submit itself.
+                future = self.transport.submit(spec)
                 return await asyncio.wrap_future(future)
             except BrokenProcessPool:
                 self.transport.discard_pool()

@@ -13,7 +13,11 @@ implementations of those hooks:
   (:class:`~repro.tcp.cc.batch.CcBatch`,
   :class:`~repro.sim.cpumodel.SenderCostBatch`,
   :class:`~repro.sim.cpumodel.ReceiverCostBatch`) doing O(1)
-  Python-level work per tick regardless of the flow count.
+  Python-level work per tick regardless of the flow count — except
+  congestion feedback for algorithms with fewer than
+  :data:`~repro.tcp.cc.batch.OBJECT_LANES` flows, which steps their
+  scalar objects in a loop because that beats an array stepper's flat
+  per-group cost at such widths.
 
 Parity guarantee
 ----------------
@@ -32,7 +36,8 @@ aspirational, because
   code under either kernel, so RNG consumption order and summation
   order cannot differ;
 * rare per-event work (loss reactions needing a real cube root, BBR's
-  windowed-max state) runs the scalar code in both kernels.
+  windowed-max state) and narrow algorithm groups run the scalar code
+  in both kernels.
 
 Selection mirrors the :mod:`repro.sim.sanitizer` opt-in pattern: the
 ``REPRO_SIM_KERNEL`` environment variable (``scalar`` | ``vector``),
@@ -276,7 +281,9 @@ class ScalarKernel(TickKernel):
 
 
 class VectorKernel(TickKernel):
-    """Fast kernel: batched array state, O(1) Python work per tick.
+    """Fast kernel: batched array state, O(1) Python work per tick
+    (per algorithm group in congestion feedback, see
+    :mod:`repro.tcp.cc.batch`).
 
     Three bit-neutral shortcuts keep the per-tick ufunc count low:
 

@@ -379,7 +379,8 @@ class _ShardWorker:
         f0, f1 = plan.flow_range(shard_id)
         m = f1 - f0
         # Each shard rebuilds its slice of the congestion state from
-        # per-kind templates, never from per-flow CC objects.
+        # per-kind templates; only algorithms narrower than
+        # OBJECT_LANES get per-flow CC objects.
         self.kern = kern = VectorKernel.from_batch(
             CcBatch.from_kinds(setup.kinds[f0:f1], mss=float(setup.mss)),
             setup.send_models[f0:f1],

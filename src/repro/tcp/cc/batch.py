@@ -4,7 +4,14 @@ The scalar simulator keeps one :class:`~repro.tcp.cc.base.CongestionControl`
 object per flow and advances them in a Python loop every tick.  For the
 vector kernel (``REPRO_SIM_KERNEL=vector``) this module groups flows by
 algorithm and keeps each group's state in flat numpy arrays, so a tick
-touches every window with O(1) Python-level work.
+costs O(1) Python-level work per *group*, whatever its lane count.
+
+That flat cost (~6-28 µs per group per tick) only pays for itself
+when the group is wide: a scalar object steps in ~0.4-3 µs.  So
+:class:`CcBatch` picks the path per algorithm from its lane count —
+:data:`OBJECT_LANES` or more lanes get the array stepper, fewer join
+the one :class:`_ObjectGroup` and run the scalar objects in a plain
+loop.  Both paths are exact, so the choice moves time, never bits.
 
 Stepper registry
 ----------------
@@ -18,10 +25,10 @@ and a divergence would silently break scalar<->batch digest parity).
 Dispatch walks the CC class's MRO: a class with its own registration
 batches; a class that *inherits* a stepper without registering its own
 raises (the parent's stepper would compute the parent's dynamics for
-the subclass's flows — silently demoting it to the slow object path,
-the old behaviour, is exactly the bug this replaces); a class with
-``batch_group = None`` anywhere on the MRO runs as scalar objects in an
-:class:`_ObjectGroup`.
+the subclass's flows — silently demoting it to the object path, the
+old behaviour, is exactly the bug this replaces); a class with
+``batch_group = None`` anywhere on the MRO always runs as scalar
+objects in the :class:`_ObjectGroup`.
 
 Byte-parity discipline
 ----------------------
@@ -38,8 +45,9 @@ compared across kernels.  Three rules make that provable:
   handful of affected flows running the same arithmetic the object
   method runs;
 * algorithms whose state does not vectorize (BBR's windowed-max deques)
-  fall back to the scalar objects inside an :class:`_ObjectGroup`, so
-  they are not merely equivalent but literally the same code.
+  and groups narrower than :data:`OBJECT_LANES` run the scalar objects
+  inside the :class:`_ObjectGroup`, so they are not merely equivalent
+  but literally the same code.
 
 Table-driven responses (HighSpeed's RFC 3649 a/b lookup) precompute
 their tables once at import; the per-tick work is then a
@@ -66,6 +74,7 @@ from repro.tcp.cc.tunable import TunableCubic
 from repro.tcp.cc.westwood import WestwoodPlus
 
 __all__ = [
+    "OBJECT_LANES",
     "CcBatch",
     "batch_stepper",
     "group_class_for",
@@ -73,6 +82,12 @@ __all__ = [
     "template_kinds",
 ]
 
+
+#: Fewest lanes of one algorithm that get its array stepper; smaller
+#: groups step through their scalar objects in the :class:`_ObjectGroup`.
+#: Below 8 lanes the objects are faster for every algorithm; the array
+#: steppers win from 16-32 lanes (measured table: DESIGN.md §16).
+OBJECT_LANES = 8
 
 #: (CC class, stepper class) in registration order — the one canonical
 #: group ordering shared by both :class:`CcBatch` constructors.
@@ -757,31 +772,38 @@ class _TunableCubicBatch(_CubicBatch):
 
 
 class _ObjectGroup:
-    """Fallback: flows advanced through their scalar CC objects.
+    """Flows advanced through their scalar CC objects.
 
-    BBR's windowed-max filters and phase wheels are deque/state-machine
-    shaped; batching them buys nothing and risks divergence.  Running
-    the objects directly makes parity trivial — it *is* the scalar path.
+    Two kinds of flow land here.  BBR's windowed-max filters and phase
+    wheels are deque/state-machine shaped, so it has no array stepper.
+    And any batchable algorithm with fewer than :data:`OBJECT_LANES`
+    lanes in a batch runs here too, because at that width the objects
+    are faster than an array stepper's flat per-group cost.  Either
+    way parity is trivial — this *is* the scalar path.
     """
 
     def __init__(self, idx: np.ndarray, ccs: list[CongestionControl]) -> None:
         self.idx = idx
         self.ccs = ccs
+        self._lanes = list(zip(idx.tolist(), ccs))
 
     def pacing(self, rtt: float, pace: np.ndarray) -> None:
-        for pos, i in enumerate(self.idx):
-            rate = self.ccs[pos].pacing_rate(rtt)
+        for i, cc in self._lanes:
+            rate = cc.pacing_rate(rtt)
             if rate is not None:
                 pace[i] = min(pace[i], rate)
 
     def tick(self, now: float, dt: float, rtt: float,
              delivered: np.ndarray, al_mask: np.ndarray) -> None:
-        for pos, i in enumerate(self.idx):
-            cc = self.ccs[pos]
-            if al_mask[i]:
+        # Python floats run the same IEEE operations as np.float64
+        # scalars, and one bulk read is cheaper than per-lane indexing.
+        d = delivered.tolist()
+        al = al_mask.tolist()
+        for i, cc in self._lanes:
+            if al[i]:
                 cc.on_app_limited(now, dt)
             else:
-                cc.on_tick(now, dt, delivered[i], rtt)
+                cc.on_tick(now, dt, d[i], rtt)
 
     def loss_one(self, now: float, rtt: float, pos: int):
         cc = self.ccs[pos]
@@ -801,8 +823,7 @@ class _ObjectGroup:
             cc.clamp(max_window)
 
     def sync(self, cwnd_full: np.ndarray) -> None:
-        for pos, i in enumerate(self.idx):
-            cwnd_full[i] = self.ccs[pos].cwnd_bytes
+        cwnd_full[self.idx] = [cc.cwnd_bytes for cc in self.ccs]
 
 
 class CcBatch:
@@ -814,43 +835,29 @@ class CcBatch:
             [cc.needs_cwnd_validation for cc in ccs]
         )
         by_group: dict[type, list[int]] = {}
-        other: list[int] = []
+        objects: dict[int, CongestionControl] = {}
         for i, cc in enumerate(ccs):
             gcls = group_class_for(type(cc))
             if gcls is None:
-                other.append(i)
+                objects[i] = cc
             else:
                 by_group.setdefault(gcls, []).append(i)
-        self._groups: list = []
+        #: Whether any flow may impose its own pacing rate: only classes
+        #: without a batch stepper (BBR) do; lets the kernel skip the fold.
+        self.self_paced = bool(objects)
         # Deterministic group order: registry (definition) order, object
-        # fallback last — from_kinds derives its order from the same
+        # group last — from_kinds derives its order from the same
         # registry list, so the two constructors cannot diverge.
+        groups: list = []
         for _cc_cls, gcls in _REGISTRY:
             idx = by_group.pop(gcls, None)
-            if idx:
-                self._groups.append(gcls(np.array(idx), [ccs[i] for i in idx]))
-        if other:
-            self._groups.append(
-                _ObjectGroup(np.array(other), [ccs[i] for i in other])
-            )
-        # flow index -> (owning group, position within the group)
-        self._owner: dict[int, tuple] = {}
-        for grp in self._groups:
-            for pos, i in enumerate(grp.idx):
-                self._owner[int(i)] = (grp, pos)
-        #: Whether any flow imposes its own pacing rate (only scalar
-        #: object CCs like BBR do); lets the kernel skip the fold.
-        self.self_paced = any(
-            isinstance(grp, _ObjectGroup) for grp in self._groups
-        )
-        # Homogeneous common case: one array group holding every flow
-        # in natural order.  The group's state array then backs
-        # ``self.cwnd`` directly — per-flow inputs need no gather, the
-        # window sync no scatter.
-        if len(self._groups) == 1 and isinstance(self._groups[0], _ArrayGroup):
-            grp = self._groups[0]
-            grp.full = True
-            self.cwnd = grp.cwnd
+            if not idx:
+                continue
+            if len(idx) < OBJECT_LANES:
+                objects.update((i, ccs[i]) for i in idx)
+            else:
+                groups.append(gcls(np.array(idx), [ccs[i] for i in idx]))
+        self._assemble(groups, objects)
 
     @classmethod
     def from_kinds(cls, kinds: list[str], mss: float) -> "CcBatch":
@@ -863,9 +870,12 @@ class CcBatch:
         state (:meth:`_ArrayGroup._from_template`) and group membership
         comes straight from the name list.  Parameterized kinds
         (``"tunable-cubic:alpha=..."``) group per distinct string, each
-        with its own template.  Only array-backed algorithms are
-        supported — object-group CCs (BBR) would need per-flow objects,
-        defeating the point.
+        with its own template.  An algorithm with fewer than
+        :data:`OBJECT_LANES` lanes gets per-flow objects instead, as in
+        the object constructor; that is fewer than ``OBJECT_LANES``
+        objects per algorithm, so setup stays O(kinds).  Only
+        array-backed algorithms are supported — object-group CCs (BBR)
+        would need per-flow objects at any scale, defeating the point.
         """
         from repro.tcp.cc import CC_ALGORITHMS, make_cc
 
@@ -893,26 +903,52 @@ class CcBatch:
                 group_types[kind] = gcls
                 order[kind] = (reg_pos[cc_cls], len(order))
             by_kind.setdefault(kind, []).append(i)
+        # Lanes per algorithm, as the object constructor counts them.
+        lanes: dict[type, int] = {}
+        for kind, idx in by_kind.items():
+            gcls = group_types[kind]
+            lanes[gcls] = lanes.get(gcls, 0) + len(idx)
         self.cwnd = np.empty(n)
         self.needs_validation = np.empty(n, dtype=bool)
-        self._groups = []
+        self.self_paced = False
+        groups: list = []
+        objects: dict[int, CongestionControl] = {}
         for kind in sorted(by_kind, key=order.__getitem__):
             idx = by_kind[kind]
+            gcls = group_types[kind]
             template = make_cc(kind, mss=mss)
-            grp = group_types[kind]._from_template(np.array(idx), template)
-            self._groups.append(grp)
             self.cwnd[idx] = template.cwnd_bytes
             self.needs_validation[idx] = template.needs_cwnd_validation
-        self._owner = {}
-        for grp in self._groups:
-            for pos, i in enumerate(grp.idx):
-                self._owner[int(i)] = (grp, pos)
-        self.self_paced = False
-        if len(self._groups) == 1:
-            grp = self._groups[0]
-            grp.full = True
-            self.cwnd = grp.cwnd
+            if lanes[gcls] < OBJECT_LANES:
+                objects.update((i, make_cc(kind, mss=mss)) for i in idx)
+            else:
+                groups.append(gcls._from_template(np.array(idx), template))
+        self._assemble(groups, objects)
         return self
+
+    def _assemble(
+        self, groups: list, objects: dict[int, CongestionControl]
+    ) -> None:
+        """Finish construction: append the object group (flows in index
+        order), map each flow to its owner, alias a lone array group."""
+        if objects:
+            idx = sorted(objects)
+            groups.append(
+                _ObjectGroup(np.array(idx), [objects[i] for i in idx])
+            )
+        self._groups = groups
+        # flow index -> (owning group, position within the group)
+        self._owner: dict[int, tuple] = {}
+        for grp in groups:
+            for pos, i in enumerate(grp.idx.tolist()):
+                self._owner[i] = (grp, pos)
+        # Homogeneous common case: one array group holding every flow
+        # in natural order.  The group's state array then backs
+        # ``self.cwnd`` directly — per-flow inputs need no gather, the
+        # window sync no scatter.
+        if len(groups) == 1 and isinstance(groups[0], _ArrayGroup):
+            groups[0].full = True
+            self.cwnd = groups[0].cwnd
 
     def pacing(self, rtt: float, pace: np.ndarray) -> None:
         """Fold self-imposed (BBR) pacing rates into ``pace`` in place."""

@@ -9,8 +9,11 @@ Three families of pins:
 * the batch registry — both :class:`CcBatch` constructors derive group
   membership and ordering from one registry, subclasses of batched
   algorithms must register or raise (never silently fall back to the
-  slow object path computing who-knows-whose dynamics), and the
-  object/template constructors stay bit-identical on mixed kinds;
+  slow object path computing who-knows-whose dynamics), both pick the
+  array stepper or the scalar objects per algorithm by lane count
+  (``OBJECT_LANES``), and the object/template constructors stay
+  bit-identical on mixed kinds; every array stepper, at the width that
+  selects it, matches the scalar objects step for step;
 * the RTO reset — ``on_timeout`` must clear algorithm epoch state via
   ``_react_to_timeout``, not just the base window fields.  The H-TCP
   and Cubic assertions here fail against the pre-fix base class (which
@@ -36,6 +39,7 @@ from repro.tcp.cc import (
     make_cc,
 )
 from repro.tcp.cc.batch import (
+    OBJECT_LANES,
     CcBatch,
     _ObjectGroup,
     group_class_for,
@@ -275,7 +279,9 @@ class TestBatchRegistry:
         assert isinstance(batch._groups[0], _ObjectGroup)
 
     def test_registered_subclass_batches(self):
-        batch = CcBatch([TunableCubic(mss=MSS, beta=0.6)])
+        batch = CcBatch(
+            [TunableCubic(mss=MSS, beta=0.6) for _ in range(OBJECT_LANES)]
+        )
         grp = batch._groups[0]
         assert type(grp) is TunableCubic.batch_group
         assert grp.full
@@ -319,6 +325,129 @@ class TestConstructorParity:
             assert ra == rb, step
             assert objs.timeout(now, to) == tmpl.timeout(now, to), step
             assert np.array_equal(objs.cwnd, tmpl.cwnd), step
+
+
+def _scalar_feedback(ccs, now, dt, rtt, delivered, loss, al, max_window):
+    """The reference tick: ``ScalarKernel.cc_feedback`` over objects."""
+    reacted = []
+    for i in loss:
+        cc = ccs[i]
+        before = float(cc.cwnd_bytes)
+        if cc.on_loss(now, rtt):
+            reacted.append((int(i), before, float(cc.cwnd_bytes)))
+    for i, cc in enumerate(ccs):
+        if al[i]:
+            cc.on_app_limited(now, dt)
+        else:
+            cc.on_tick(now, dt, delivered[i], rtt)
+        cc.clamp(max_window)
+    return reacted
+
+
+def _scalar_timeout(ccs, now, idx):
+    reacted = []
+    for i in idx:
+        before = float(ccs[i].cwnd_bytes)
+        ccs[i].on_timeout(now)
+        reacted.append((int(i), before, float(ccs[i].cwnd_bytes)))
+    return reacted
+
+
+class TestArrayStepperParity:
+    """Every array stepper, at the lane count that selects it, against
+    the scalar objects it transcribes — through both constructors.
+
+    Narrower groups step through the objects themselves, so the 2-lane
+    mixes elsewhere in this file no longer reach the steppers.
+    """
+
+    KINDS = [*template_kinds(), "tunable-cubic:alpha=1.2,beta=0.55,c=0.5"]
+
+    @pytest.mark.parametrize("kinds", [[k] for k in KINDS] + [KINDS],
+                             ids=[*KINDS, "all"])
+    def test_cwnd_bit_identical_every_step(self, kinds):
+        flows = [k for k in kinds for _ in range(OBJECT_LANES)]
+        ref = [make_cc(k, mss=MSS) for k in flows]
+        batches = [
+            CcBatch([make_cc(k, mss=MSS) for k in flows]),
+            CcBatch.from_kinds(flows, mss=MSS),
+        ]
+        for batch in batches:
+            assert not any(isinstance(g, _ObjectGroup) for g in batch._groups)
+        n = len(flows)
+        rng = np.random.default_rng(17)
+        now, dt, rtt = 0.0, 0.008, 0.054
+        for step in range(1200):
+            now += dt
+            cwnd = np.array([cc.cwnd_bytes for cc in ref])
+            delivered = rng.uniform(0, 2.5, n) * cwnd * (dt / rtt)
+            al = rng.random(n) < 0.05
+            loss = np.nonzero(rng.random(n) < 0.01)[0]
+            to = np.nonzero(rng.random(n) < 0.003)[0]
+            want = _scalar_feedback(ref, now, dt, rtt, delivered, loss, al, 1e9)
+            want_to = _scalar_timeout(ref, now, to)
+            cwnd = np.array([cc.cwnd_bytes for cc in ref])
+            for batch in batches:
+                got = batch.feedback(now, dt, rtt, delivered, loss, al, 1e9)
+                assert got == want, step
+                assert batch.timeout(now, to) == want_to, step
+                assert np.array_equal(batch.cwnd, cwnd), step
+
+
+_BUILDERS = {
+    "objects": lambda kinds: CcBatch([make_cc(k, mss=MSS) for k in kinds]),
+    "templates": lambda kinds: CcBatch.from_kinds(kinds, mss=MSS),
+}
+each_constructor = pytest.mark.parametrize(
+    "build", _BUILDERS.values(), ids=_BUILDERS
+)
+
+
+class TestObjectLanesSelection:
+    """The per-algorithm choice between array stepper and objects."""
+
+    @each_constructor
+    @pytest.mark.parametrize("kind", template_kinds())
+    def test_narrow_group_runs_objects(self, build, kind):
+        batch = build([kind] * (OBJECT_LANES - 1))
+        assert [type(g) for g in batch._groups] == [_ObjectGroup]
+        assert not batch.self_paced
+
+    @each_constructor
+    @pytest.mark.parametrize("kind", template_kinds())
+    def test_wide_group_runs_its_stepper(self, build, kind):
+        batch = build([kind] * OBJECT_LANES)
+        want = group_class_for(CC_ALGORITHMS[kind])
+        assert [type(g) for g in batch._groups] == [want]
+        assert batch._groups[0].full
+        assert not batch.self_paced
+
+    @each_constructor
+    def test_mixed_widths_split_by_algorithm(self, build):
+        # Lanes count per algorithm, not per parameterized kind string.
+        kinds = (
+            ["reno", "cubic"] * 3
+            + ["tunable-cubic:beta=0.6", "tunable-cubic:c=0.2"]
+            * (OBJECT_LANES // 2)
+            + ["cubic"] * (OBJECT_LANES - 3)
+        )
+        batch = build(kinds)
+        types = [type(g) for g in batch._groups]
+        assert types[0] is Cubic.batch_group
+        assert set(types[1:-1]) == {TunableCubic.batch_group}
+        assert types[-1] is _ObjectGroup
+        narrow = [i for i, k in enumerate(kinds) if k == "reno"]
+        assert batch._groups[-1].idx.tolist() == narrow
+        assert not batch.self_paced
+
+    def test_bbr_flow_is_self_paced(self):
+        # Objects only: from_kinds rejects BBR (see TestBatchRegistry).
+        kinds = ["cubic"] * OBJECT_LANES + ["reno", "bbr1"]
+        batch = _BUILDERS["objects"](kinds)
+        assert batch.self_paced
+        assert [type(g) for g in batch._groups] == [
+            Cubic.batch_group, _ObjectGroup,
+        ]
 
 
 class TestTimeoutReset:

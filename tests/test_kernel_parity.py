@@ -34,6 +34,7 @@ from repro.sim.kernels import (
     kernel_name,
     make_kernel,
 )
+from repro.tcp.cc.batch import OBJECT_LANES
 from repro.tcp.pacing import PacingConfig
 from repro.testbeds.amlight import AmLightTestbed
 from repro.testbeds.esnet import ESnetTestbed
@@ -114,8 +115,8 @@ CASES = {
         ],
         5,
     ),
-    # The full congestion-control zoo on a lossy WAN: every array batch
-    # group (incl. the per-flow-parameter tunable group) side by side.
+    # The full congestion-control zoo on a lossy WAN, one or two flows
+    # per algorithm: every kind side by side in the object group.
     "cc-zoo-wan": (
         AmLightTestbed(kernel="6.8"),
         "wan54",
@@ -131,8 +132,8 @@ CASES = {
         ],
         13,
     ),
-    # Homogeneous runs of each zoo algorithm: the single-full-group
-    # fast path (batch.cwnd aliases the group array) for every stepper.
+    # Two flows of each of four zoo algorithms: narrow groups, stepped
+    # through their scalar objects.
     "cc-zoo-homogeneous": (
         AmLightTestbed(kernel="6.8"),
         "wan104",
@@ -144,6 +145,21 @@ CASES = {
             for _ in range(2)
         ],
         29,
+    ),
+    # OBJECT_LANES flows of each zoo algorithm (incl. the per-flow-
+    # parameter tunable group): every array stepper side by side.
+    "cc-zoo-array-steppers": (
+        AmLightTestbed(kernel="6.8"),
+        "wan54",
+        [
+            FlowSpec(cc=kind)
+            for kind in (
+                "highspeed", "htcp", "scalable", "westwood", "cubic",
+                "reno", "tunable-cubic:alpha=1.5,beta=0.5",
+            )
+            for _ in range(OBJECT_LANES)
+        ],
+        31,
     ),
 }
 

@@ -9,9 +9,12 @@ identical in-flight configs, O(1) result lookup, and SSE trace tails.
 
 from __future__ import annotations
 
+import asyncio
 import concurrent.futures
 import dataclasses
 import time
+import types
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.experiments import run_experiment
 from repro.runner import RunnerConfig, run_experiments
 from repro.runner.worker import CRASH_ONCE_ENV
 from repro.serve import ServeClient, ServeClientError, ServeConfig, running_server
+from repro.serve.pool import AsyncWorkerPool
 
 from tests._golden import GOLDEN_CONFIG, load_golden
 
@@ -266,3 +270,38 @@ class TestWorkerCrash:
             caught.value
         )
         assert crash_client.stats()["pool_rebuilds"] == 3
+
+
+class _BrokenOnceTransport:
+    """A pool transport whose first ``submit`` finds the pool broken.
+
+    That is what a request meets when it submits to a pool another
+    request's crash broke, before that request has discarded it: the
+    executor raises ``BrokenProcessPool`` from ``submit`` itself, not
+    from the future.
+    """
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.broken = True
+        self.rebuilds = 0
+
+    def submit(self, spec):
+        if self.broken:
+            raise BrokenProcessPool("a sibling request's worker died")
+        future = concurrent.futures.Future()
+        future.set_result(self.payload)
+        return future
+
+    def discard_pool(self):
+        self.broken = False
+        self.rebuilds += 1
+
+
+class TestAsyncWorkerPool:
+    def test_submit_to_a_broken_pool_is_retried_on_a_rebuilt_one(self):
+        transport = _BrokenOnceTransport({"ok": True})
+        spec = types.SimpleNamespace(exp_id="var")
+        payload = asyncio.run(AsyncWorkerPool(transport).run(spec))
+        assert payload == {"ok": True}
+        assert transport.rebuilds == 1
