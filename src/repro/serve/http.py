@@ -17,7 +17,7 @@ What "just enough" means here:
 * Server-Sent Events framing for the trace-tail route.
 
 Parsing is strict where sloppiness would hide bugs (method/target/
-version shape, integer Content-Length) and tolerant where the spec
+version shape, all-digit Content-Length) and tolerant where the spec
 says to be (header case, optional whitespace).
 """
 
@@ -171,12 +171,12 @@ async def read_request(
 
     body = b""
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise HttpError(400, "Content-Length is not an integer") from None
-        if length < 0:
-            raise HttpError(400, "Content-Length is negative")
+        # RFC 9110 §8.6: 1*DIGIT.  int() would also take "+3", "1_0"
+        # and non-ASCII digits.
+        raw_length = headers["content-length"]
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise HttpError(400, "Content-Length is not a decimal integer")
+        length = int(raw_length)
         if length > max_body:
             raise HttpError(413, f"body exceeds {max_body} bytes")
         try:
@@ -186,7 +186,10 @@ async def read_request(
     elif method in ("POST", "PUT", "PATCH"):
         raise HttpError(411, f"{method} requires a Content-Length")
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unbalanced IPv6 bracket: "//[x"
+        raise HttpError(400, f"malformed request target: {exc}") from None
     query = dict(parse_qsl(split.query, keep_blank_values=True))
     return Request(
         method=method,

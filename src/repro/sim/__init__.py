@@ -3,7 +3,7 @@
 from repro.sim.bottleneck import maxmin_allocate
 from repro.sim.cpumodel import CpuCostModel, RecvCosts, SendCosts
 from repro.sim.flowsim import FlowSimulator, FlowSpec, SimProfile
-from repro.sim.lossmodel import BurstModel, distribute_drops
+from repro.sim.lossmodel import BurstModel
 from repro.sim.metrics import CpuUtil, MetricsAccumulator, RunResult
 from repro.sim.sanitizer import SanitizerViolation, SimSanitizer, sanitized
 from repro.sim.sanitizer import enabled as sanitizer_enabled
@@ -29,7 +29,6 @@ __all__ = [
     "SendCosts",
     "RecvCosts",
     "BurstModel",
-    "distribute_drops",
     "maxmin_allocate",
     "MetricsAccumulator",
     "RunResult",

@@ -22,12 +22,20 @@ advances in fixed ticks (default 2 ms); each tick it
 The result of :meth:`FlowSimulator.run` corresponds to one iperf3
 invocation; the harness repeats runs with different RNG streams to get
 the paper's mean/stdev/min/max statistics.
+
+This module holds the run set-up and link step both flow engines share
+(:class:`RunSetup`) and FlowSimulator's per-flow trace
+(:class:`FlowEvents`).  The tick loop itself is the one driver in
+:mod:`repro.sim.engine`: :class:`FlowSimulator` is a thin constructor
+that runs it with :data:`repro.sim.shard.FLOWSIM_NUMERICS` on one
+in-process block of exactly its ``n`` flows, drawing from the caller's
+:class:`~repro.core.rng.RngFactory`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,13 +45,13 @@ from repro.core.rng import RngFactory
 from repro.host.machine import Host
 from repro.net.path import NetworkPath
 from repro.net.switch import SharedBufferQueue, SwitchModel
-from repro.sim.bottleneck import maxmin_allocate
 from repro.sim.cpumodel import CpuCostModel
-from repro.sim.kernels import TickKernel, make_kernel
-from repro.sim.lossmodel import BurstModel, concentrate_drops, flow_release_slack
+from repro.sim.kernels import TickKernel, VectorKernel, make_kernel
+from repro.sim.lossmodel import BurstModel, flow_release_slack
 from repro.sim.metrics import MetricsAccumulator, RunResult
 from repro.sim.sanitizer import SimSanitizer, enabled as sanitizer_enabled
 from repro.tcp.cc import make_cc
+from repro.tcp.cc.batch import CcBatch
 from repro.tcp.pacing import PacingConfig
 from repro.tcp.segment import SegmentGeometry
 from repro.tcp.sockets import SocketProfile
@@ -52,7 +60,9 @@ from repro.trace.bus import active as trace_active
 from repro.trace.ledger import FlowConservationLedger
 from repro.trace.probes import mpstat_probe, nic_probe, socket_probe
 
-__all__ = ["FlowSpec", "SimProfile", "FlowSimulator", "RunSetup", "FlowLanes"]
+__all__ = [
+    "FlowSpec", "SimProfile", "FlowSimulator", "RunSetup", "FlowEvents",
+]
 
 #: Receiver aggregate ceiling degradation on large-window (WAN) workloads:
 #: hundred-MB receive backlogs defeat the LLC and DDIO, costing up to
@@ -70,6 +80,10 @@ LOSS_REACT_FRACTION = 5e-4
 #: Relative per-tick jitter of the receiver aggregate ceiling at full
 #: WAN exposure (LLC / memory-controller / softirq contention noise).
 RX_CEILING_NOISE = 0.05
+
+#: The per-flow delivered bytes :meth:`RunSetup.record_tick` hands the
+#: metrics: none (the tick driver accumulates them in its lanes).
+_NO_LANES = np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -112,9 +126,9 @@ class SimProfile:
 class RunSetup:
     """One run's set-up and per-tick link step, shared by both engines.
 
-    :meth:`FlowSimulator.run` and the sharded engine each build one from
-    their own RNG streams, whose labels stay per engine (``hostjitter``
-    vs ``shard:hostjitter``), so no draw changes stream or order.  The
+    The tick driver builds one per run from the streams its numerics
+    claim, whose labels stay per engine (``hostjitter`` vs
+    ``shard:hostjitter``), so no draw changes stream or order.  The
     per-tick methods are the cross-flow link physics; each engine feeds
     them flow sums taken in its own reduction order.
 
@@ -323,7 +337,7 @@ class RunSetup:
 
         Returns ``(dropped, overflow, trains_total)``: the standing-queue
         tail drop, the packet-train overflow volume, and the train sum
-        it came from (0.0 when the overflow is skipped).
+        it came from (None when the overflow is skipped).
         """
         q = self.q_switch
         dropped = self._offer(q, "switch-buffer", offered, self.cap_net, False)
@@ -331,11 +345,14 @@ class RunSetup:
         return dropped, overflow, total
 
     def offer_ring(
-        self, offered: float, drain: float, trains: np.ndarray, tick_per_rtt: float
-    ) -> tuple[float, float, float]:
+        self, offered: float, drain: float, trains: np.ndarray, tick_per_rtt: float,
+        trains_total: float | None = None,
+    ) -> tuple[float, float, float | None]:
         """Offer the switch's survivors to the NIC ring.
 
-        Same return shape as :meth:`offer_switch`.  The ring drains at
+        Same return shape as :meth:`offer_switch`; ``trains_total`` is
+        the sum of ``trains`` when the caller already holds it (the
+        switch took it over the same array).  The ring drains at
         what the receiver actually consumes; trains arrive at the path's
         bottleneck line rate.  With 802.3x flow control, pause frames
         hold the overflow upstream and nothing is dropped at the ring.
@@ -343,9 +360,11 @@ class RunSetup:
         q = self.q_ring
         dropped = self._offer(q, "rx-ring", offered, drain, self.flow_control)
         if self.flow_control:
-            return 0.0, 0.0, 0.0
+            return 0.0, 0.0, None
         fill = max(0.0, 1.0 - drain / self.line2_den)
-        overflow, total = self._overflow(trains, fill, self.buf2, q, tick_per_rtt)
+        overflow, total = self._overflow(
+            trains, fill, self.buf2, q, tick_per_rtt, trains_total
+        )
         return dropped, overflow, total
 
     def _offer(
@@ -370,8 +389,8 @@ class RunSetup:
 
     def _overflow(
         self, trains: np.ndarray, fill: float, buf: float, q: SharedBufferQueue,
-        tick_per_rtt: float,
-    ) -> tuple[float, float]:
+        tick_per_rtt: float, total: float | None = None,
+    ) -> tuple[float, float | None]:
         # Packet trains are per-RTT time-compression: each RTT a train of
         # V_i bytes arrives at line rate; the fraction the drain cannot
         # absorb (``fill``) deposits into the buffer, and the part beyond
@@ -380,16 +399,20 @@ class RunSetup:
         # all-zero trains, so the overflow reduces to max(0, -headroom)
         # == 0; skipping the sum changes nothing.
         if fill > 0.0 and not self.all_smooth:
-            total = float(np.add.reduce(trains))
+            if total is None:
+                total = float(np.add.reduce(trains))
             headroom = max(0.0, buf - q.occupancy)
             return max(0.0, total * fill - headroom) * tick_per_rtt, total
-        return 0.0, 0.0
+        return 0.0, None
 
     def record_tick(
-        self, metrics: MetricsAccumulator, delivered: np.ndarray,
-        retr_segments: float, loss_events: int, sums: Sequence, delivered_sum: float,
+        self, metrics: MetricsAccumulator, retr_segments: float,
+        loss_events: int, sums: Sequence, delivered_sum: float,
     ) -> tuple[float, float, float, float]:
-        """Record one tick given its :meth:`FlowLanes.cpu_costs` sums.
+        """Record one tick given its five CPU-cost sums (tx app, tx irq,
+        rx app, rx irq cycles per second, and zerocopy fractions).  The
+        per-flow bytes stay in the driver's lanes, so ``metrics`` gets
+        none.
 
         Returns the (tx app, tx irq, rx app, rx irq) loads in cores,
         summed over flows.
@@ -400,11 +423,25 @@ class RunSetup:
         rx_app = float(sums[2]) / self.budget_rx
         rx_irq = float(sums[3]) / self.budget_rx
         metrics.record_tick(
-            self.dt, delivered, retr_segments, loss_events,
+            self.dt, _NO_LANES, retr_segments, loss_events,
             (tx_app / n, tx_irq / n, rx_app / n, rx_irq / n), float(sums[4]) / n,
             delivered_sum=delivered_sum,
         )
         return tx_app, tx_irq, rx_app, rx_irq
+
+    def kernel(self, f0: int, f1: int, cc_objects: bool) -> TickKernel:
+        """The tick kernel over lanes ``[f0, f1)``: per-flow CC objects
+        through :func:`make_kernel` (``REPRO_SIM_KERNEL``; BBR runs), or
+        a vector kernel from per-kind templates, in O(kinds)."""
+        sends, recvs = self.send_models[f0:f1], self.recv_models[f0:f1]
+        mss, kinds = float(self.mss), self.kinds[f0:f1]
+        if cc_objects:
+            ccs = [make_cc(kind, mss=mss) for kind in kinds]
+            return make_kernel(
+                ccs=ccs, send_models=sends, recv_models=recvs, **self.kernel_args
+            )
+        batch = CcBatch.from_kinds(kinds, mss=mss)
+        return VectorKernel.from_batch(batch, sends, recvs, **self.kernel_args)
 
     # -- run events ------------------------------------------------------
 
@@ -427,141 +464,109 @@ class RunSetup:
             )
 
 
-class FlowLanes:
-    """The per-lane formulas both engines evaluate, over one set of lanes.
+class FlowEvents:
+    """FlowSimulator's per-flow trace and sanitizer audit, once a tick.
 
-    :meth:`FlowSimulator.run` holds one over all its flows; each shard
-    worker holds one over its own lanes.  It pairs the tick kernel with
-    the scratch buffers and run constants the formulas need.  Every
-    buffer is fully rewritten each tick before its first read, and
-    ``out=`` only changes where results land, never their bits.  (min
-    and max are exact and commutative here — both operands are ordinary
-    positive floats, so swapped-argument ties return identical bits;
-    ``c * x`` rounds as ``x * c``.)
+    Built only when a trace bus or the sanitizer is attached.  ``lanes``
+    is the driver's single worker, read after the tick in the order the
+    events have always had: sanitizer checks, ``flow.tick``,
+    ``cc.loss``, ``zc.fallback`` edges, then the probes.  A ``flow.tick``
+    reports the window that bounded the tick's allocation (the worker
+    keeps it in ``cwnd_pre``); probes report the window after feedback.
+    The sanitizer also audits per-flow conservation by consuming the
+    ``flow.tick`` wire format through a private single-sink bus, so the
+    ledger exercises the exact stream exports would see.
     """
 
-    def __init__(self, kern: TickKernel, setup: RunSetup, pace_eff: np.ndarray) -> None:
-        m = kern.n
-        self.kern = kern
-        self.pace_eff = pace_eff
-        self.dt = setup.dt
-        self.react10 = setup.react10
-        self.fp_floor = setup.fp_floor
-        self.fp_cap = setup.fp_cap
-        self.max_window = setup.max_window
-        self.wr = np.empty(m)
-        self.foot = np.empty(m)
-        self.caps = np.empty(m)
-        self.drate = np.empty(m)
-        self.scratch = np.empty(m)
-        self.mask_b1 = np.empty(m, dtype=bool)
-        self.mask_b2 = np.empty(m, dtype=bool)
+    def __init__(self, setup: RunSetup, lanes, rep: int) -> None:
+        n, bus, san = setup.n, setup.bus, setup.san
+        self.setup, self.lanes = setup, lanes
+        self.ledger = self.ledger_bus = None
+        if san is not None:
+            self.ledger = FlowConservationLedger(
+                n, mss=float(setup.mss), context=f"flowsim rep={rep}"
+            )
+            self.ledger_bus = TraceBus(sinks=[self.ledger])
+        self.want_flow = bus is not None and bus.wants("flow")
+        self.want_cc = bus is not None and bus.wants("cc")
+        self.want_zc = bus is not None and bus.wants("zerocopy")
+        if self.want_flow or san is not None:
+            lanes.cwnd_pre = np.empty(n)
+        self.drops_cum = np.zeros(n) if setup.want_probe else None
+        self.zc_flows = [
+            i for i in range(n) if setup.send_models[i].zc_model is not None
+        ]
 
-    def rate_caps(
-        self, rtt: float, prev_alloc: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """This tick's per-flow rate caps: window, pacing, CPU limits.
-
-        Returns ``(pace, footprint, rcv_limit, caps)``; the window rate
-        stays in ``self.wr`` for :meth:`cc_feedback`.
-        """
-        kern = self.kern
-        cwnd = kern.cwnd
-        window_rate = np.divide(cwnd, max(rtt, 1e-6), out=self.wr)
-        pace = kern.pacing(rtt, self.pace_eff)
-        # Working set the sender actually touches: the in-flight bytes
-        # (~rate*RTT) plus qdisc/socket slack — NOT the raw cwnd, which
-        # can sit far above what an app-limited flow uses (cwnd
-        # validation keeps them close anyway).
-        foot = self.foot
-        np.multiply(prev_alloc, rtt, out=foot)
-        np.multiply(foot, 1.5, out=foot)
-        np.maximum(foot, self.fp_floor, out=foot)
-        np.minimum(foot, cwnd, out=foot)
-        np.minimum(foot, self.fp_cap, out=foot)
-        snd_limit, rcv_limit = kern.cpu_limits(rtt, foot)
-        # Same left-fold association as np.minimum.reduce([...]).
-        caps = np.minimum(window_rate, pace, out=self.caps)
-        np.minimum(caps, snd_limit, out=caps)
-        np.minimum(caps, rcv_limit, out=caps)
-        return pace, foot, rcv_limit, caps
-
-    def loss_idx(self, drops: np.ndarray, sent: np.ndarray) -> np.ndarray:
-        """Flows whose drops exceed the loss-react fraction of their sends."""
-        threshold = np.maximum(sent, 1.0, out=self.scratch)
-        np.multiply(threshold, LOSS_REACT_FRACTION, out=threshold)
-        return np.nonzero(drops > threshold)[0]
-
-    def cc_feedback(
-        self, now: float, rtt: float, alloc: np.ndarray, delivered: np.ndarray,
-        loss_idx: np.ndarray,
-    ) -> list[tuple[int, float, float]]:
-        """Congestion feedback behind the RFC 7661 validation mask.
-
-        Loss-based algorithms only grow while the window is what binds.
-        The mask reads this tick's pre-update windows and allocation,
-        with the same left-fold ``(nv & a) & b`` as the expression form
-        (``&`` on bool arrays is logical_and).
-        """
-        kern = self.kern
-        f, b1, b2 = self.scratch, self.mask_b1, self.mask_b2
-        np.multiply(alloc, rtt, out=f)
-        np.maximum(f, self.react10, out=f)
-        np.multiply(f, 1.5, out=f)
-        np.greater(kern.cwnd, f, out=b1)
-        np.logical_and(kern.needs_validation, b1, out=b1)
-        np.multiply(alloc, 1.2, out=f)
-        np.greater(self.wr, f, out=b2)
-        al_mask = np.logical_and(b1, b2, out=b1)
-        return kern.cc_feedback(
-            now, self.dt, rtt, delivered, loss_idx, al_mask, self.max_window
-        )
-
-    def cpu_costs(
-        self, alloc: np.ndarray, delivered: np.ndarray, rtt: float,
-        reduce: Callable[[np.ndarray], object],
-    ) -> tuple[tuple, np.ndarray]:
-        """CPU cost at this tick's operating point.
-
-        Returns ``(sums, zc_frac)``: ``reduce`` applied to the cycle
-        products alloc·(tx app, tx irq) and drate·(rx app, rx irq), then
-        to the zerocopy fractions, plus the fractions themselves.
-        """
-        drate = np.divide(delivered, self.dt, out=self.drate)
-        tx_app, tx_irq, zc_frac, rx_app, rx_irq = self.kern.cpu_costs(
-            alloc, drate, rtt, self.foot
-        )
-        acc = self.scratch
-        sums = (
-            reduce(np.multiply(alloc, tx_app, out=acc)),
-            reduce(np.multiply(alloc, tx_irq, out=acc)),
-            reduce(np.multiply(drate, rx_app, out=acc)),
-            reduce(np.multiply(drate, rx_irq, out=acc)),
-            reduce(zc_frac),
-        )
-        return sums, zc_frac
-
-
-def _place_drops(
-    rng: np.random.Generator, trains: np.ndarray, overflow: float,
-    standing: np.ndarray, dropped: float, zeros: np.ndarray,
-) -> np.ndarray:
-    """One queue's per-flow drops: the train overflow lands on a few
-    flows ∝ ``trains``, then the standing-queue drop ∝ ``standing``.
-
-    Drop-free ticks return the shared ``zeros``: ``concentrate_drops``
-    returns all-zeros without touching the RNG when its drop volume is
-    0, and adding a zero array to non-negative drops is a bitwise no-op,
-    so the skipped calls cannot change any number downstream.
-    """
-    if overflow > 0.0:
-        drops = concentrate_drops(rng, trains, overflow)
-        if dropped > 0.0:
-            drops += concentrate_drops(rng, standing, dropped)
-        return drops
-    if dropped > 0.0:
-        return concentrate_drops(rng, standing, dropped)
-    return zeros
+    def tick(
+        self, step: int, now: float, rtt: float, loads: tuple,
+        offered: float, delivered_sum: float,
+    ) -> None:
+        setup, w = self.setup, self.lanes
+        bus, san, n = setup.bus, setup.san, setup.n
+        sent, delivered, drops = w.sent, w.delivered, w.drops
+        alloc = w.prev_alloc  # this tick's allocation, after the swap
+        if san is not None:
+            for name, values in (
+                ("alloc", alloc), ("sent", sent), ("drops", drops),
+                ("delivered", delivered),
+                ("queue occupancy", (setup.q_switch.occupancy, setup.q_ring.occupancy)),
+            ):
+                san.check_non_negative(name, values)
+            san.check_positive("rtt", rtt)
+            san.check_positive("cwnd", w.cwnd_pre)
+        if self.drops_cum is not None:
+            self.drops_cum += drops
+        if self.want_flow or self.ledger_bus is not None:
+            if self.ledger_bus is not None:
+                self.ledger_bus.set_time(now)
+            cwnd = w.cwnd_pre
+            for i in range(n):
+                args = {
+                    "flow": i, "sent": float(sent[i]),
+                    "delivered": float(delivered[i]), "dropped": float(drops[i]),
+                    "alloc": float(alloc[i]), "cwnd": float(cwnd[i]), "rtt": rtt,
+                }
+                if self.want_flow:
+                    bus.emit("flow", "flow.tick", **args)
+                if self.ledger_bus is not None:
+                    self.ledger_bus.emit("flow", "flow.tick", **args)
+        if self.want_cc:
+            for i, before, after in w.reacted:
+                bus.emit(
+                    "cc", "cc.loss", flow=i, cwnd_before=before,
+                    cwnd_after=after, dropped=float(drops[i]), rtt=rtt,
+                )
+        if self.want_zc:
+            for i in self.zc_flows:
+                # Edge-triggered: one event when the flow starts falling
+                # back to copying (optmem exhausted), one when it recovers.
+                frac = float(w.zc_frac[i])
+                bus.emit_edge(
+                    ("zc", i), "zerocopy", "zc.fallback", frac < 0.999,
+                    flow=i, zc_fraction=round(frac, 4),
+                )
+        if setup.want_probe and step % setup.probe_stride == 0:
+            tx_app, tx_irq, rx_app, rx_irq = loads
+            bus.emit("probe", "probe.mpstat", **mpstat_probe(
+                snd_app_pct=100.0 * tx_app / n, snd_irq_pct=100.0 * tx_irq / n,
+                rcv_app_pct=100.0 * rx_app / n, rcv_irq_pct=100.0 * rx_irq / n,
+            ))
+            bus.emit("probe", "probe.nic", **nic_probe(
+                setup.q_switch, setup.q_ring, flow_control=setup.flow_control
+            ))
+            cwnd, pace = w.kern.cwnd, w.pace
+            for i in range(n):
+                zc_model = setup.send_models[i].zc_model
+                bus.emit("probe", "probe.socket", **socket_probe(
+                    i, cwnd=float(cwnd[i]), pacing_rate=float(pace[i]), rtt=rtt,
+                    send_rate=float(alloc[i]),
+                    delivered_rate=float(delivered[i]) / setup.dt,
+                    retrans_cum=float(self.drops_cum[i]) / setup.mss,
+                    zc_fraction=(
+                        None if zc_model is None
+                        else zc_model.zc_fraction(float(alloc[i]), rtt)
+                    ),
+                ))
 
 
 class FlowSimulator:
@@ -601,256 +606,15 @@ class FlowSimulator:
 
     def run(self, rep: int = 0) -> RunResult:
         """Simulate one test run (≈ one iperf3 invocation)."""
-        prof = self.profile
-        n = len(self.flows)
-        burst_rng = self.rng.stream("burst", rep)
-        setup = RunSetup(
-            self.sender, self.receiver, self.path, [(f, 1) for f in self.flows],
-            prof, rng=self.rng, rep=rep,
-            jitter_rng=self.rng.stream("hostjitter", rep),
-            place_rng=self.rng.stream("placement", rep),
-            bg_rng=self.rng.stream("background", rep),
-            context="flowsim",
-        )
-        dt, mss, bus, san = setup.dt, setup.mss, setup.bus, setup.san
-        q_switch, q_ring = setup.q_switch, setup.q_ring
-        send_models = setup.send_models
+        # A function-local import breaks the flowsim <-> shard cycle:
+        # the driver builds on this module's RunSetup and FlowEvents.
+        from repro.sim.shard import FLOWSIM_NUMERICS, ShardPlan, run_engine
 
-        # The sanitizer additionally audits per-flow conservation by
-        # consuming the "flow.tick" wire format through a private
-        # single-sink bus, so the ledger exercises the exact stream
-        # exports would see.
         self.last_ledger = None
-        ledger_bus = None
-        if san is not None:
-            ledger = FlowConservationLedger(
-                n, mss=float(mss), context=f"flowsim rep={rep}"
-            )
-            self.last_ledger = ledger
-            ledger_bus = TraceBus(sinks=[ledger])
-        want_flow = bus is not None and bus.wants("flow")
-        want_cc = bus is not None and bus.wants("cc")
-        want_zc = bus is not None and bus.wants("zerocopy")
-        want_probe = setup.want_probe
-        emit_flow = want_flow or ledger_bus is not None
-        drops_cum = np.zeros(n) if want_probe else None
-
-        # The tick kernel (scalar reference or vectorized fast path,
-        # selected via REPRO_SIM_KERNEL) owns the warm per-flow state —
-        # congestion windows and the damped receiver CPU limit — and the
-        # four per-flow hooks.  Everything else in the loop below is
-        # shared driver code: RNG draws, cross-flow reductions, queues,
-        # and trace emission, so the kernels are byte-interchangeable.
-        kern = make_kernel(
-            ccs=[make_cc(f.cc, mss=float(mss)) for f in self.flows],
-            send_models=send_models,
-            recv_models=setup.recv_models,
-            **setup.kernel_args,
+        result, events = run_engine(
+            FLOWSIM_NUMERICS, self, [(f, 1) for f in self.flows], self.rng,
+            rep, ShardPlan.single(len(self.flows)),
         )
-        lanes = FlowLanes(kern, setup, setup.pace_eff)
-        burst = BurstModel(rng=burst_rng)
-        slacks = setup.slacks
-        persistent_w = burst.persistent_weights(slacks)
-        prev_alloc = np.zeros(n)
-        metrics = MetricsAccumulator(n, prof.duration, prof.omit)
-        capacity = setup.capacity
-        all_smooth = setup.all_smooth
-        # Shared all-zero per-flow array for drop-free ticks (never
-        # mutated) and the matching empty loss index.
-        zeros = np.zeros(n)
-        empty_idx = np.zeros(0, dtype=np.intp)
-        zc_flows = [i for i in range(n) if send_models[i].zc_model is not None]
-        # ndarray.sum() dispatches to np.add.reduce; calling the ufunc
-        # directly skips a wrapper layer with identical pairwise bits.
-        asum = np.add.reduce
-        # ``prev_alloc`` keeps the freshly allocated maxmin output, never
-        # scratch, so nothing per-tick survives the tick through a buffer.
-        sent_buf = np.empty(n)
-
-        setup.emit_run_start(rep)
-        for step in range(setup.n_ticks):
-            # Closed form, not `now += dt`: a million accumulated float
-            # adds drift the clock by enough to flip boundary
-            # comparisons downstream (lint rule FLOAT002 flags the
-            # accumulating pattern in simulation code).
-            now = (step + 1) * dt
-            rtt = setup.begin_tick(step, now)
-            if ledger_bus is not None:
-                ledger_bus.set_time(now)
-
-            # --- per-flow caps and shared capacity ----------------------
-            cwnd = kern.cwnd
-            pace, footprint, rcv_limit, caps = lanes.rate_caps(rtt, prev_alloc)
-            # One fused burst-model draw covers this tick's rx-ceiling
-            # noise, max-min weight jitter, and packet-train volumes —
-            # a single RNG call whose consumption order is part of the
-            # shared driver, hence identical across kernels.
-            noise_z, weights, trains = burst.tick_draw(
-                persistent_w, slacks, cwnd, smooth=all_smooth
-            )
-            rcv_drain = setup.rx_drain(
-                float(asum(footprint)), noise_z, float(asum(rcv_limit))
-            )
-            # (Background traffic shares the *physical* link; the admin
-            # cap applies to test traffic only.  TCP adapts to the
-            # *average* background — the micro-burst sample drives the
-            # queue drain, so spikes show up as queueing and loss, not
-            # as an instant, clairvoyant rate adjustment.)  Weights come
-            # out of the lognormal jitter (positive by construction), so
-            # the validation pass is skipped.  Always route through the
-            # module global (the allocator has its own uncongested fast
-            # path) so it stays swappable under test.
-            alloc = maxmin_allocate(caps, capacity, weights, validate=False)
-
-            # --- queues + packet-train loss ------------------------------
-            # Standing queues carry the *average* volume (sum of
-            # allocations never exceeds the drain by construction, so
-            # they only build transiently when background-traffic spikes
-            # eat into the drain).
-            sent = np.multiply(alloc, dt, out=sent_buf)  # goodput bytes emitted
-            tick_per_rtt = dt / max(rtt, dt)
-            offered1 = float(asum(sent))
-            dropped_std1, ov1, _ = setup.offer_switch(offered1, trains, tick_per_rtt)
-            drops1 = _place_drops(burst_rng, trains, ov1, sent, dropped_std1, zeros)
-
-            if drops1 is zeros:
-                # On drop-free ticks after1 IS sent, whose sum is offered1.
-                after1, trains_after, offered2 = sent, trains, offered1
-            else:
-                after1 = np.maximum(0.0, sent - drops1)
-                trains_after = np.maximum(0.0, trains - drops1)
-                offered2 = float(asum(after1))
-            dropped_std2, ov2, _ = setup.offer_ring(
-                offered2, rcv_drain, trains_after, tick_per_rtt
-            )
-            drops2 = _place_drops(
-                burst_rng, trains_after, ov2, after1, dropped_std2, zeros
-            )
-
-            if drops1 is zeros and drops2 is zeros:
-                drops = zeros
-                delivered = sent
-            else:
-                drops = drops1 + drops2
-                delivered = np.maximum(0.0, sent - drops)
-            if san is not None:
-                san.check_non_negative("alloc", alloc)
-                san.check_non_negative("sent", sent)
-                san.check_non_negative("drops", drops)
-                san.check_non_negative("delivered", delivered)
-                san.check_non_negative(
-                    "queue occupancy", (q_switch.occupancy, q_ring.occupancy)
-                )
-                san.check_positive("rtt", rtt)
-                san.check_positive("cwnd", cwnd)
-
-            if drops_cum is not None:
-                drops_cum += drops
-            if emit_flow:
-                # cwnd here is the window that bounded THIS tick's
-                # allocation (the cc update below may change it).
-                for i in range(n):
-                    args = {
-                        "flow": i,
-                        "sent": float(sent[i]),
-                        "delivered": float(delivered[i]),
-                        "dropped": float(drops[i]),
-                        "alloc": float(alloc[i]),
-                        "cwnd": float(cwnd[i]),
-                        "rtt": rtt,
-                    }
-                    if want_flow:
-                        bus.emit("flow", "flow.tick", **args)
-                    if ledger_bus is not None:
-                        ledger_bus.emit("flow", "flow.tick", **args)
-
-            # --- congestion feedback ------------------------------------
-            if drops is zeros:
-                # No drop volume: segments lost is exactly 0 and no flow
-                # can clear the (strictly positive) loss-react threshold.
-                retr_segments = 0.0
-                loss_idx = empty_idx
-            else:
-                retr_segments = float(asum(drops) / mss)
-                loss_idx = lanes.loss_idx(drops, sent)
-            reacted = lanes.cc_feedback(now, rtt, alloc, delivered, loss_idx)
-            loss_events = len(reacted)
-            if want_cc:
-                for i, before, after in reacted:
-                    bus.emit(
-                        "cc",
-                        "cc.loss",
-                        flow=i,
-                        cwnd_before=before,
-                        cwnd_after=after,
-                        dropped=float(drops[i]),
-                        rtt=rtt,
-                    )
-            prev_alloc = alloc
-
-            # --- CPU accounting and metrics -----------------------------
-            sums, zc_frac = lanes.cpu_costs(alloc, delivered, rtt, asum)
-            tx_app, tx_irq, rx_app, rx_irq = setup.record_tick(
-                metrics,
-                delivered,
-                retr_segments,
-                loss_events,
-                sums,
-                # Drop-free ticks deliver exactly what was sent, whose
-                # sum was already taken for the switch offer.
-                offered1 if delivered is sent else float(asum(delivered)),
-            )
-            if want_zc:
-                for i in zc_flows:
-                    # Edge-triggered: one event when the flow starts
-                    # falling back to copying (optmem exhausted),
-                    # one when it recovers.
-                    bus.emit_edge(
-                        ("zc", i),
-                        "zerocopy",
-                        "zc.fallback",
-                        bool(zc_frac[i] < 0.999),
-                        flow=i,
-                        zc_fraction=round(float(zc_frac[i]), 4),
-                    )
-
-            if want_probe and step % setup.probe_stride == 0:
-                bus.emit(
-                    "probe",
-                    "probe.mpstat",
-                    **mpstat_probe(
-                        snd_app_pct=100.0 * tx_app / n,
-                        snd_irq_pct=100.0 * tx_irq / n,
-                        rcv_app_pct=100.0 * rx_app / n,
-                        rcv_irq_pct=100.0 * rx_irq / n,
-                    ),
-                )
-                bus.emit(
-                    "probe",
-                    "probe.nic",
-                    **nic_probe(q_switch, q_ring, flow_control=setup.flow_control),
-                )
-                for i in range(n):
-                    zc_model = send_models[i].zc_model
-                    bus.emit(
-                        "probe",
-                        "probe.socket",
-                        **socket_probe(
-                            i,
-                            cwnd=float(cwnd[i]),
-                            pacing_rate=float(pace[i]),
-                            rtt=rtt,
-                            send_rate=float(alloc[i]),
-                            delivered_rate=float(delivered[i]) / dt,
-                            retrans_cum=float(drops_cum[i]) / mss,
-                            zc_fraction=(
-                                None
-                                if zc_model is None
-                                else zc_model.zc_fraction(float(alloc[i]), rtt)
-                            ),
-                        ),
-                    )
-
-        result = metrics.finalize()
-        setup.emit_run_end(rep, result)
+        if events is not None:
+            self.last_ledger = events.ledger
         return result

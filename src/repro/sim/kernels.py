@@ -1,9 +1,10 @@
 """Tick kernels: the scalar reference path and the vectorized fast path.
 
-:meth:`repro.sim.flowsim.FlowSimulator.run` is a *driver* around four
-per-tick hooks — pacing caps, CPU rate limits, congestion feedback, CPU
-cost accounting.  This module provides two interchangeable
-implementations of those hooks:
+The tick driver (:func:`repro.sim.engine.run_engine`, behind both
+:class:`~repro.sim.flowsim.FlowSimulator` and the sharded engine) calls
+four per-tick hooks — pacing caps, CPU rate limits, congestion
+feedback, CPU cost accounting.  This module provides two
+interchangeable implementations of those hooks:
 
 * :class:`ScalarKernel` — the reference: per-flow Python loops over the
   scalar :class:`~repro.tcp.cc.base.CongestionControl` objects and
@@ -31,10 +32,9 @@ aspirational, because
   transcribes its scalar counterpart with the same association;
 * everything stochastic (background samples, burst draws, drop
   placement) and every cross-flow reduction stays outside the kernel,
-  in :meth:`~repro.sim.flowsim.FlowSimulator.run` and the
-  :class:`~repro.sim.flowsim.RunSetup` link step, which run the same
-  code under either kernel, so RNG consumption order and summation
-  order cannot differ;
+  in the tick driver and the :class:`~repro.sim.flowsim.RunSetup` link
+  step, which run the same code under either kernel, so RNG
+  consumption order and summation order cannot differ;
 * rare per-event work (loss reactions needing a real cube root, BBR's
   windowed-max state) and narrow algorithm groups run the scalar code
   in both kernels.
@@ -42,7 +42,10 @@ aspirational, because
 Selection mirrors the :mod:`repro.sim.sanitizer` opt-in pattern: the
 ``REPRO_SIM_KERNEL`` environment variable (``scalar`` | ``vector``),
 with :func:`force_kernel` / :func:`forced_kernel` as programmatic
-overrides for tests.  The default is ``vector``.
+overrides for tests.  The default is ``vector``.  It reaches
+FlowSimulator runs, whose numerics build their lanes through
+:func:`make_kernel`; the sharded engine always builds vector kernels
+from per-kind templates.
 """
 
 from __future__ import annotations
@@ -185,7 +188,7 @@ class TickKernel:
 
     def cc_timeout(self, now: float, idx) -> list[tuple[int, float, float]]:
         """RTO collapse for the given flows; update ``self.cwnd``.
-        Returns (flow, before, after) per flow.  The fluid driver never
+        Returns (flow, before, after) per flow.  The tick driver never
         invokes this (its flows cannot starve into an RTO) — it exists
         so the timeout path stays under scalar<->vector parity tests."""
         raise NotImplementedError

@@ -45,8 +45,8 @@ import numpy as np
 __all__ = [
     "BurstModel",
     "COPY_MODE_SLACK",
+    "IN_PLACE_LANES",
     "TRAIN_FRACTION",
-    "distribute_drops",
     "concentrate_drops",
     "flow_release_slack",
 ]
@@ -63,6 +63,11 @@ TRAIN_FRACTION = 0.08
 #: (E[X] = 1).
 BURST_SIGMA = 0.25
 
+#: Lane count from which :meth:`BurstModel.tick_volumes` computes in
+#: place (the block engine's workers; FlowSimulator's few lanes stay
+#: below it).
+IN_PLACE_LANES = 256
+
 
 @dataclass
 class BurstModel:
@@ -74,6 +79,13 @@ class BurstModel:
     #: :meth:`tick_draw`; consumers treat train volumes as read-only.
     _zero_trains: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        # The (weights, trains) rows' exponent scale and shift for the
+        # one fused exp of :meth:`tick_volumes`.
+        sigma = self.sigma
+        self._exp_scale = np.array([[self.TICK_WEIGHT_SIGMA], [sigma]])
+        self._exp_shift = np.array([[0.0], [-sigma**2 / 2.0]])
+
     def slack_for(self, paced_smooth: bool, pacing_enabled: bool, zerocopy: bool) -> float:
         """Burst slack for a flow configuration."""
         if paced_smooth:
@@ -82,26 +94,6 @@ class BurstModel:
             # paced, but by coarse internal pacing (non-fq qdisc)
             return 0.35
         return 1.0 if zerocopy else COPY_MODE_SLACK
-
-    def train_volumes(
-        self,
-        slacks: np.ndarray,
-        cwnd_bytes: np.ndarray,
-    ) -> np.ndarray:
-        """Bytes per RTT each flow sends as back-to-back trains.
-
-        Modern Linux TCP auto-paces even "unpaced" flows at ~1.2x the
-        delivery rate in congestion avoidance, so trains are the
-        *overshoot* — a fraction of the window, not the whole window.
-        ``TRAIN_FRACTION`` calibrates that overshoot; the lognormal X
-        adds burst-to-burst variability (ACK compression, stretch ACKs,
-        slow-start overshoot).  fq-paced flows (slack 0) emit none.
-        """
-        n = slacks.size
-        if n == 0:
-            return np.zeros(0)
-        x = self.rng.lognormal(mean=-self.sigma**2 / 2.0, sigma=self.sigma, size=n)
-        return slacks * x * TRAIN_FRACTION * cwnd_bytes
 
     def persistent_weights(self, slacks: np.ndarray) -> np.ndarray:
         """Per-run max-min weights modelling unpaced flow unfairness.
@@ -117,12 +109,6 @@ class BurstModel:
         noise = self.rng.lognormal(mean=0.0, sigma=0.28, size=n)
         return 1.0 + slacks * (noise - 1.0)
 
-    def tick_weights(self, persistent: np.ndarray, slacks: np.ndarray) -> np.ndarray:
-        """Per-tick jitter layered on the persistent weights."""
-        n = slacks.size
-        noise = self.rng.lognormal(mean=0.0, sigma=0.1, size=n)
-        return persistent * (1.0 + slacks * (noise - 1.0))
-
     #: Lognormal sigma of the per-tick max-min weight jitter.
     TICK_WEIGHT_SIGMA = 0.1
 
@@ -136,13 +122,12 @@ class BurstModel:
         """All of one tick's burst-model randomness in a single RNG call.
 
         Returns ``(rx_noise_z, weights, trains)``: the standard-normal
-        draw behind the receiver-ceiling jitter, the per-tick max-min
-        weights (:meth:`tick_weights`), and the packet-train volumes
-        (:meth:`train_volumes`).  Fusing the three separate generator
-        calls into one ``standard_normal(2n + 1)`` both cuts per-tick
-        Python overhead (the hot loop makes exactly one RNG call) and
-        pins the consumption order in one place, which is what keeps
-        the scalar and vector kernels on identical random streams.
+        draw behind the receiver-ceiling jitter, then
+        :meth:`tick_volumes` of the next ``n`` and last ``n`` normals of
+        one ``standard_normal(2n + 1)``.  One generator call both cuts
+        per-tick Python overhead and pins the consumption order in one
+        place, which is what keeps the scalar and vector kernels on
+        identical random streams.
 
         ``smooth`` asserts that every slack is 0 (callers may hoist the
         check out of their loop; ``None`` means "check here").  With all
@@ -159,11 +144,45 @@ class BurstModel:
             if self._zero_trains is None or self._zero_trains.size != n:
                 self._zero_trains = np.zeros(n)
             return float(z[0]), persistent, self._zero_trains
-        weights_x = np.exp(self.TICK_WEIGHT_SIGMA * z[1 : n + 1])
-        weights = persistent * (1.0 + slacks * (weights_x - 1.0))
-        trains_x = np.exp(-self.sigma**2 / 2.0 + self.sigma * z[n + 1 :])
-        trains = slacks * trains_x * TRAIN_FRACTION * cwnd_bytes
+        weights, trains = self.tick_volumes(persistent, slacks, cwnd_bytes, z[1:])
         return float(z[0]), weights, trains
+
+    def tick_volumes(
+        self,
+        persistent: np.ndarray,
+        slacks: np.ndarray,
+        cwnd_bytes: np.ndarray,
+        z: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-tick max-min weights and packet-train volumes from ``2n``
+        standard normals (the weights' ``n``, then the trains' ``n``).
+
+        Weights: lognormal jitter (sigma ``TICK_WEIGHT_SIGMA``) on the
+        persistent ones, ``persistent * (1 + s * (X - 1))``.  Trains:
+        modern Linux TCP auto-paces even "unpaced" flows at ~1.2x the
+        delivery rate, so the back-to-back bytes per RTT are the
+        overshoot, ``s * X * TRAIN_FRACTION * cwnd``, with a mean-1
+        lognormal X (ACK compression, stretch ACKs, slow-start
+        overshoot).  Both engines call this, so they share one
+        association of every product.  One ``exp`` covers both halves
+        (the weight half's ``+ 0.0`` shift is exact).  From
+        ``IN_PLACE_LANES`` lanes on, the same products run in place:
+        temporaries cost memory there, in-place ufuncs time at few lanes.
+        """
+        x = np.exp(z.reshape(2, -1) * self._exp_scale + self._exp_shift)
+        if slacks.size < IN_PLACE_LANES:
+            weights = persistent * (1.0 + slacks * (x[0] - 1.0))
+            trains = slacks * x[1] * TRAIN_FRACTION * cwnd_bytes
+            return weights, trains
+        weights, trains = x
+        weights -= 1.0
+        weights *= slacks
+        weights += 1.0
+        weights *= persistent
+        trains *= slacks
+        trains *= TRAIN_FRACTION
+        trains *= cwnd_bytes
+        return weights, trains
 
 
 def flow_release_slack(pacing, zerocopy: bool, burst: BurstModel) -> float:
@@ -181,17 +200,6 @@ def flow_release_slack(pacing, zerocopy: bool, burst: BurstModel) -> float:
     if release is not None:
         return float(release(zerocopy))
     return burst.slack_for(pacing.smooths_bursts, pacing.enabled, zerocopy)
-
-
-def distribute_drops(
-    arrivals: np.ndarray,
-    dropped: float,
-) -> np.ndarray:
-    """Charge ``dropped`` bytes back to flows proportionally."""
-    total = arrivals.sum()
-    if total <= 0 or dropped <= 0:
-        return np.zeros_like(arrivals)
-    return arrivals * (dropped / total)
 
 
 def concentrate_drops(

@@ -125,7 +125,10 @@ class MetricsAccumulator:
             return
         self._measured_ticks += 1
         self._measured_time = self._measured_ticks * dt
-        self._bytes += delivered
+        if self.n_flows:
+            # (The flow engines keep per-flow bytes in their lanes and
+            # pass an empty array.)
+            self._bytes += delivered
         self._retr += retr_segments
         self._loss_events += loss_events
         self._cpu_tx_app += cpu_core_fracs[0] * dt

@@ -37,8 +37,15 @@ def load_golden(exp_id: str) -> dict:
     return json.loads(golden_path(exp_id).read_text())
 
 
+#: Not an experiment: the engine fingerprints of
+#: ``tests/test_engine_fingerprints.py`` share the directory.
+ENGINES_STEM = "engines"
+
+
 def golden_ids() -> list[str]:
-    return sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
+    return sorted(
+        p.stem for p in GOLDEN_DIR.glob("*.json") if p.stem != ENGINES_STEM
+    )
 
 
 def golden_entry(result) -> dict:

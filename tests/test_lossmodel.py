@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 from repro.sim.lossmodel import (
     BurstModel,
     COPY_MODE_SLACK,
+    IN_PLACE_LANES,
     TRAIN_FRACTION,
     concentrate_drops,
-    distribute_drops,
 )
 
 
 def model(seed=0) -> BurstModel:
     return BurstModel(rng=np.random.default_rng(seed))
+
+
+def trains(m: BurstModel, slacks, cwnd) -> np.ndarray:
+    """One tick's packet-train volumes (unit persistent weights)."""
+    return m.tick_draw(np.ones(slacks.size), slacks, cwnd)[2]
 
 
 class TestSlack:
@@ -42,24 +47,55 @@ class TestTrainVolumes:
         m = model()
         cwnd = np.array([1e8, 1e8])
         slacks = np.array([1.0, 0.3])
-        vols = np.array([
-            m.train_volumes(slacks, cwnd) for _ in range(500)
-        ]).mean(axis=0)
+        vols = np.array([trains(m, slacks, cwnd) for _ in range(500)]).mean(axis=0)
         assert vols[0] == pytest.approx(TRAIN_FRACTION * 1e8, rel=0.1)
         assert vols[1] == pytest.approx(0.3 * TRAIN_FRACTION * 1e8, rel=0.1)
 
     def test_paced_flows_emit_nothing(self):
         m = model()
-        vols = m.train_volumes(np.zeros(4), np.full(4, 1e9))
+        vols = trains(m, np.zeros(4), np.full(4, 1e9))
         assert np.all(vols == 0)
 
     def test_empty(self):
-        assert model().train_volumes(np.zeros(0), np.zeros(0)).size == 0
+        assert trains(model(), np.zeros(0), np.zeros(0)).size == 0
 
     def test_deterministic_per_seed(self):
-        a = model(7).train_volumes(np.ones(3), np.full(3, 1e8))
-        b = model(7).train_volumes(np.ones(3), np.full(3, 1e8))
+        a = trains(model(7), np.ones(3), np.full(3, 1e8))
+        b = trains(model(7), np.ones(3), np.full(3, 1e8))
         assert np.array_equal(a, b)
+
+    def test_tick_draw_is_tick_volumes_of_its_normals(self):
+        """Both engines share tick_volumes: the fused draw is z[0] for
+        the rx noise, then the weight and train normals, bit for bit."""
+        persistent = model(3).persistent_weights(np.ones(5))
+        slacks = np.array([1.0, 0.3, 0.0, 0.35, 1.0])
+        cwnd = np.array([1e8, 2e7, 5e8, 3e6, 1e9])
+        z_noise, w, t = model(9).tick_draw(persistent, slacks, cwnd)
+        z = np.random.default_rng(9).standard_normal(11)
+        w2, t2 = model().tick_volumes(persistent, slacks, cwnd, z[1:])
+        assert z_noise == z[0]
+        assert w.tobytes() == w2.tobytes() and t.tobytes() == t2.tobytes()
+        # ...and the one fused exp keeps the bits of one per half.
+        sigma, tw = BurstModel.sigma, BurstModel.TICK_WEIGHT_SIGMA
+        w_ref = persistent * (1.0 + slacks * (np.exp(tw * z[1:6]) - 1.0))
+        x_ref = np.exp(-sigma**2 / 2.0 + sigma * z[6:])
+        t_ref = slacks * x_ref * TRAIN_FRACTION * cwnd
+        assert w.tobytes() == w_ref.tobytes() and t.tobytes() == t_ref.tobytes()
+
+    def test_in_place_tick_volumes_keep_the_bits(self):
+        """Wide lane sets compute in place; the factors and their order,
+        hence every bit, are those of the expression form."""
+        n = IN_PLACE_LANES + 3
+        rng = np.random.default_rng(4)
+        persistent = 1.0 + rng.random(n)
+        slacks = rng.choice([0.0, 0.3, 0.35, 1.0], size=n)
+        cwnd = 10.0 ** rng.uniform(5, 9, size=n)
+        z = rng.standard_normal(2 * n)
+        w, t = model().tick_volumes(persistent, slacks, cwnd, z)
+        sigma, tw = BurstModel.sigma, BurstModel.TICK_WEIGHT_SIGMA
+        w_ref = persistent * (1.0 + slacks * (np.exp(tw * z[:n]) - 1.0))
+        t_ref = slacks * np.exp(-sigma**2 / 2.0 + sigma * z[n:]) * TRAIN_FRACTION * cwnd
+        assert w.tobytes() == w_ref.tobytes() and t.tobytes() == t_ref.tobytes()
 
 
 class TestWeights:
@@ -76,20 +112,14 @@ class TestWeights:
     def test_tick_weights_jitter_around_persistent(self):
         m = model()
         persistent = m.persistent_weights(np.ones(8))
-        ticks = np.array([m.tick_weights(persistent, np.ones(8)) for _ in range(200)])
+        ticks = np.array([
+            m.tick_draw(persistent, np.ones(8), np.full(8, 1e8))[1]
+            for _ in range(200)
+        ])
         assert np.allclose(ticks.mean(axis=0), persistent, rtol=0.1)
 
 
 class TestDropAttribution:
-    def test_distribute_proportional(self):
-        arrivals = np.array([1.0, 3.0])
-        drops = distribute_drops(arrivals, 4.0)
-        assert np.allclose(drops, [1.0, 3.0])
-
-    def test_distribute_zero(self):
-        assert np.all(distribute_drops(np.array([1.0, 2.0]), 0.0) == 0)
-        assert np.all(distribute_drops(np.zeros(2), 5.0) == 0)
-
     def test_concentrate_conserves_volume(self):
         rng = np.random.default_rng(0)
         arrivals = np.array([1.0, 2.0, 3.0, 4.0])

@@ -6,6 +6,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.serve.http import (
     MAX_REQUEST_LINE,
@@ -123,6 +125,17 @@ class TestParseErrors:
         raw = b"POST /x HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
         assert parse_error(raw).status == 400
 
+    @pytest.mark.parametrize("spelling", [b"1_0", b"+3", b"0x5", b"3.0"])
+    def test_only_decimal_digits_are_a_length(self, spelling):
+        # int() accepts "1_0" (as 10) and "+3"; RFC 9110 allows 1*DIGIT.
+        raw = b"POST /x HTTP/1.1\r\nContent-Length: " + spelling + b"\r\n\r\n"
+        assert parse_error(raw + b"a" * 10).status == 400
+
+    def test_unbalanced_ipv6_bracket_in_target_is_400(self):
+        # urlsplit raises a bare ValueError for "//[x"; the daemon would
+        # drop the connection instead of answering.
+        assert parse_error(b"GET //[x HTTP/1.1\r\n\r\n").status == 400
+
     def test_truncated_body_is_400(self):
         raw = b"POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort"
         assert parse_error(raw).status == 400
@@ -141,6 +154,57 @@ class TestParseErrors:
         )
         raw = b"GET / HTTP/1.1\r\n" + filler + b"\r\n"
         assert parse_error(raw).status == 431
+
+
+#: Request-line and header material: arbitrary bytes, plus the URL and
+#: framing characters the parser's corner cases are made of.
+_PIECE = st.one_of(
+    st.binary(max_size=24),
+    st.text(alphabet="/[]:@?#%&=.;x0-9 +_\t\r\n", max_size=16).map(str.encode),
+)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        method=st.one_of(st.sampled_from([b"GET", b"POST", b"get"]), _PIECE),
+        target=st.one_of(st.just(b"/"), _PIECE),
+        version=st.one_of(st.sampled_from([b"HTTP/1.1", b"HTTP/1.0"]), _PIECE),
+        headers=st.lists(st.tuples(_PIECE, _PIECE), max_size=4),
+        length=st.one_of(
+            st.none(),
+            st.integers(min_value=-3, max_value=40).map(lambda n: str(n).encode()),
+            _PIECE,
+        ),
+        body=st.binary(max_size=48),
+    )
+    @example(
+        method=b"GET", target=b"//[x", version=b"HTTP/1.1", headers=[],
+        length=None, body=b"",
+    )
+    @example(
+        method=b"POST", target=b"/x", version=b"HTTP/1.1", headers=[],
+        length=b"1_0", body=b"a" * 10,
+    )
+    def test_parser_answers_or_rejects(
+        self, method, target, version, headers, length, body
+    ):
+        """Any input gives a Request or an HttpError, never another
+        exception, and an accepted body is exactly 1*DIGIT long."""
+        lines = [method + b" " + target + b" " + version]
+        lines += [name + b": " + value for name, value in headers]
+        if length is not None:
+            lines.append(b"Content-Length: " + length)
+        raw = b"\r\n".join(lines) + b"\r\n\r\n" + body
+        try:
+            req = parse(raw)
+        except HttpError as exc:
+            assert 400 <= exc.status < 600
+            return
+        if req is not None and "content-length" in req.headers:
+            declared = req.headers["content-length"]
+            assert declared.isascii() and declared.isdigit()
+            assert len(req.body) == int(declared)
 
 
 class TestRequestJson:

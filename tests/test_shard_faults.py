@@ -1,6 +1,6 @@
 """Fault handling for the sharded simulator's process transport.
 
-Three promises:
+Four promises:
 
 * a worker crashing mid-tick breaks the exchange barrier, the
   coordinator tears the attempt down, and the *retry* is byte-identical
@@ -8,18 +8,22 @@ Three promises:
   from the root seed);
 * every shared-memory segment of every attempt — including crashed
   ones — is unlinked (no ``/dev/shm`` leaks), proven by re-attaching;
+* a run whose workers fail to start (a refused fork) terminates the
+  children already started and unlinks its segments;
 * a crc32 collision between two shard RNG-stream labels raises
   :class:`RngStreamCollisionError` instead of silently correlating
   "independent" block streams.
 
 The crash hook is ``REPRO_SHARD_CRASH_ONCE`` (see
-:func:`repro.sim.shard._maybe_crash`): a sentinel path crashes shard 0
+:func:`repro.sim.engine._maybe_crash`): a sentinel path crashes shard 0
 exactly once; the reserved value ``always`` crashes every attempt.
 """
 
 from __future__ import annotations
 
+import errno
 import zlib
+from multiprocessing import context as mp_context
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -123,6 +127,31 @@ class TestWorkerCrashRetry:
             PROFILE, RngFactory(1), shards=2, mode="inproc",
         ).run()
         assert not sentinel.exists()
+
+
+class TestStartFailure:
+    def test_refused_fork_leaves_no_segment_or_child(self, monkeypatch):
+        """The second worker's fork fails with EAGAIN: the run raises,
+        the first child (blocked on the start barrier) is terminated,
+        and the exchange/control/accumulator segments are unlinked."""
+        started = []
+        real_start = mp_context.ForkProcess.start
+
+        def start(proc):
+            if started:
+                raise OSError(errno.EAGAIN, "fork refused")
+            real_start(proc)
+            started.append(proc)
+
+        monkeypatch.setattr(mp_context.ForkProcess, "start", start)
+        sim = _make_sim(shards=2)
+        with pytest.raises(OSError):
+            sim.run()
+        assert len(started) == 1
+        started[0].join(timeout=10.0)
+        assert not started[0].is_alive()
+        assert len(sim.last_shm_names) == 3
+        _assert_all_unlinked(sim.last_shm_names)
 
 
 class TestRngStreamCollision:

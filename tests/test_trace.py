@@ -335,12 +335,14 @@ class TestLedgerLive:
         # every queue (the link-level sanitizer stays happy) but hands
         # flows more than their window covers — only the per-flow
         # ledger can see that.
-        from repro.sim import flowsim as flowsim_mod
+        # FlowSimulator's numerics look the allocator up in the shared
+        # tick driver's module.
+        from repro.sim import engine as engine_mod
 
         def greedy_allocate(caps, capacity, weights=None, *, validate=True):
             return np.full_like(np.asarray(caps, dtype=float), capacity)
 
-        monkeypatch.setattr(flowsim_mod, "maxmin_allocate", greedy_allocate)
+        monkeypatch.setattr(engine_mod, "maxmin_allocate", greedy_allocate)
         sim = quick_sim()
         with sanitizer.sanitized():
             with pytest.raises(SanitizerViolation, match="exceeds cwnd"):
