@@ -40,7 +40,7 @@ from repro.host.advisor import advise
 from repro.host.sysctl import OPTMEM_1MB
 from repro.testbeds.amlight import AmLightTestbed
 from repro.testbeds.esnet import ESnetTestbed
-from repro.tools.harness import HarnessConfig
+from repro.tools.harness import HARNESS_PROFILES, HarnessConfig
 from repro.tools.iperf3 import Iperf3, Iperf3Options
 
 __all__ = ["main", "build_parser"]
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run every registered experiment")
     p_run.add_argument("-j", "--jobs", type=int, default=1,
                        help="worker processes (default 1 = in-process)")
-    p_run.add_argument("--profile", choices=["quick", "bench", "paper"],
+    p_run.add_argument("--profile", choices=list(HARNESS_PROFILES),
                        default="bench",
                        help="harness fidelity (default bench)")
     p_run.add_argument("--no-cache", action="store_true",
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--exp", default="fig09", metavar="EXP_ID",
                          help="experiment the check submits "
                          "(default fig09)")
-    p_serve.add_argument("--profile", choices=["quick", "bench", "paper"],
+    p_serve.add_argument("--profile", choices=list(HARNESS_PROFILES),
                          default="quick",
                          help="harness fidelity for --check "
                          "(default quick)")
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the harness seed (handy for "
                          "producing deliberately divergent traces to "
                          "--diff)")
-    p_trace.add_argument("--profile", choices=["quick", "bench", "paper"],
+    p_trace.add_argument("--profile", choices=list(HARNESS_PROFILES),
                          default="bench",
                          help="harness fidelity (default bench)")
     p_trace.add_argument("-j", "--jobs", type=int, default=1,
@@ -338,11 +338,7 @@ def _cmd_run(args) -> int:
 
     from repro.runner import RunnerConfig, run_experiments
 
-    config = {
-        "quick": HarnessConfig.quick,
-        "bench": HarnessConfig.bench,
-        "paper": HarnessConfig.paper,
-    }[args.profile]()
+    config = HARNESS_PROFILES[args.profile]()
     trace_spec = None
     if args.trace:
         from repro.trace.bus import TraceSpec
@@ -431,11 +427,7 @@ def _cmd_trace(args) -> int:
         buffer=args.buffer,
         spill_dir=args.spill,
     )
-    config = {
-        "quick": HarnessConfig.quick,
-        "bench": HarnessConfig.bench,
-        "paper": HarnessConfig.paper,
-    }[args.profile]()
+    config = HARNESS_PROFILES[args.profile]()
     if args.seed is not None:
         from dataclasses import replace
 
@@ -625,11 +617,7 @@ def _serve_check(args, config) -> int:
 
     from repro.serve import ServeClient, running_server
 
-    harness = {
-        "quick": HarnessConfig.quick,
-        "bench": HarnessConfig.bench,
-        "paper": HarnessConfig.paper,
-    }[args.profile]()
+    harness = HARNESS_PROFILES[args.profile]()
 
     failures: list[str] = []
 

@@ -15,11 +15,9 @@ byte-parity the moment that happens:
   sharding the write lands in a worker's copy and is silently lost, or
   worse, lands in shared memory from several shards at once.
 
-The sanctioned reduction point is the simulation driver loop
-(``FlowSimulator.run`` in ``repro.sim.flowsim``): the kernel contract
-already requires every cross-flow reduction to live there, so that one
-function is exempt and everything else in ``sim/``, ``tcp/``, and
-``runner/`` — including the rest of ``flowsim.py`` — is checked.
+Every function in ``sim/``, ``tcp/``, and ``runner/`` is checked, the
+tick driver (``repro.sim.engine.run_engine``) included: its cross-flow
+reductions fold positional block partials.
 """
 
 from __future__ import annotations
@@ -41,11 +39,6 @@ __all__ = ["ShardSafetyRule"]
 
 #: Subsystems that will run inside shards.
 _SHARD_SCOPE = frozenset({"sim", "tcp", "runner"})
-
-#: The sanctioned cross-flow reduction sites: (subsystem, filename,
-#: function name).  Only the named driver function is exempt; the rest
-#: of its module is checked like any other shardable code.
-_DRIVER_FUNCTIONS = (("sim", "flowsim.py", "run"),)
 
 #: Reduction callables whose argument order determines the float result.
 _REDUCERS = frozenset({"sum", "fsum", "math.fsum", "reduce", "functools.reduce"})
@@ -98,8 +91,7 @@ class ShardSafetyRule(ProjectRule):
     """SHARD001: no order-dependent reductions or caller-array writes in shardable code.
 
     Within ``sim/``, ``tcp/``, and ``runner/`` (the code a sharded
-    campaign executes), excluding the sanctioned driver function
-    ``FlowSimulator.run`` in ``sim/flowsim.py``, the rule flags:
+    campaign executes), the rule flags:
 
     * ``sum()``/``math.fsum()``/``functools.reduce()`` whose iterable is
       a dict or set — spelled directly, through a ``.keys()/.values()/
@@ -141,16 +133,9 @@ class ShardSafetyRule(ProjectRule):
         subsystem = ctx.subsystem
         if subsystem is not None and subsystem not in _SHARD_SCOPE:
             return
-        exempt = {
-            name
-            for sub, tail, name in _DRIVER_FUNCTIONS
-            if ctx.is_module(sub, tail)
-        }
         yield from self._check_scope(ctx, ctx.tree, None)
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name in exempt:
-                    continue
                 yield from self._check_scope(ctx, node, node)
 
     # -- one function (or the module body) ------------------------------

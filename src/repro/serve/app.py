@@ -53,17 +53,10 @@ from repro.serve.http import (
     sse_preamble,
 )
 from repro.serve.pool import AsyncWorkerPool
-from repro.tools.harness import HarnessConfig
+from repro.tools.harness import HARNESS_PROFILES, HarnessConfig
 from repro.trace.bus import TraceSpec
 
 __all__ = ["ExperimentServer", "ServerStats", "running_server"]
-
-_PROFILES = {
-    "quick": HarnessConfig.quick,
-    "bench": HarnessConfig.bench,
-    "paper": HarnessConfig.paper,
-}
-
 
 class ServerStats:
     """Monotonic request counters; the smoke tests' evidence."""
@@ -407,13 +400,13 @@ class ExperimentServer:
                 raise HttpError(400, f"bad harness config: {exc}") from None
         else:
             profile = doc.get("profile", "bench")
-            if profile not in _PROFILES:
+            if profile not in HARNESS_PROFILES:
                 raise HttpError(
                     400,
                     f"unknown profile {profile!r}; have "
-                    f"{', '.join(sorted(_PROFILES))}",
+                    f"{', '.join(sorted(HARNESS_PROFILES))}",
                 )
-            config = _PROFILES[profile]()
+            config = HARNESS_PROFILES[profile]()
         return exp_id, config, bool(doc.get("trace", False))
 
     async def _handle_submit(self, request: Request) -> bytes:

@@ -15,7 +15,6 @@ would.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import multiprocessing as mp
 import os
@@ -194,7 +193,7 @@ class _ShardWorker:
         self.block = plan.block
         f0, f1 = plan.flow_range(shard_id)
         m = f1 - f0
-        self.kern = setup.kernel(f0, f1, num.cc_objects)
+        self.kern = setup.kernel(f0, f1, num.kernel)
         self.pace_eff = setup.pace_eff[f0:f1]
         self.slacks = setup.slacks[f0:f1]
         self.persistent_w = persistent_w[f0:f1]
@@ -682,7 +681,7 @@ def run_engine(
         jitter_rng=jitter, place_rng=place, bg_rng=background,
         context=num.context, pads=plan.n_pad - n,
     )
-    metrics = MetricsAccumulator(0, prof.duration, prof.omit)
+    metrics = MetricsAccumulator(prof.duration, prof.omit)
 
     # Per-run persistent max-min weights, drawn per block from that
     # block's burst stream.
@@ -846,9 +845,9 @@ def run_engine(
                 events.tick(step, now, rtt, loads, offered1, delivered_sum)
         if procs is not None:
             procs.end()
-        result = metrics.finalize()
-        # A fresh array: safe to return after the segments unlink.
-        per_flow = accum[:n] / max(metrics.measured_time, 1e-9)
+        # The goodput it divides out is a fresh array: safe to return
+        # after the segments unlink.
+        result = metrics.finalize(accum[:n])
     finally:
         if procs is not None:
             procs.close()
@@ -863,6 +862,5 @@ def run_engine(
                 seg.unlink()
             except FileNotFoundError:
                 pass
-    result = dataclasses.replace(result, per_flow_goodput=per_flow)
     setup.emit_run_end(rep, result)
     return result, events

@@ -46,12 +46,11 @@ from repro.host.machine import Host
 from repro.net.path import NetworkPath
 from repro.net.switch import SharedBufferQueue, SwitchModel
 from repro.sim.cpumodel import CpuCostModel
-from repro.sim.kernels import TickKernel, VectorKernel, make_kernel
+from repro.sim.kernels import TickKernel, make_kernel
 from repro.sim.lossmodel import BurstModel, flow_release_slack
 from repro.sim.metrics import MetricsAccumulator, RunResult
 from repro.sim.sanitizer import SimSanitizer, enabled as sanitizer_enabled
 from repro.tcp.cc import make_cc
-from repro.tcp.cc.batch import CcBatch
 from repro.tcp.pacing import PacingConfig
 from repro.tcp.segment import SegmentGeometry
 from repro.tcp.sockets import SocketProfile
@@ -80,10 +79,6 @@ LOSS_REACT_FRACTION = 5e-4
 #: Relative per-tick jitter of the receiver aggregate ceiling at full
 #: WAN exposure (LLC / memory-controller / softirq contention noise).
 RX_CEILING_NOISE = 0.05
-
-#: The per-flow delivered bytes :meth:`RunSetup.record_tick` hands the
-#: metrics: none (the tick driver accumulates them in its lanes).
-_NO_LANES = np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -410,9 +405,7 @@ class RunSetup:
         loss_events: int, sums: Sequence, delivered_sum: float,
     ) -> tuple[float, float, float, float]:
         """Record one tick given its five CPU-cost sums (tx app, tx irq,
-        rx app, rx irq cycles per second, and zerocopy fractions).  The
-        per-flow bytes stay in the driver's lanes, so ``metrics`` gets
-        none.
+        rx app, rx irq cycles per second, and zerocopy fractions).
 
         Returns the (tx app, tx irq, rx app, rx irq) loads in cores,
         summed over flows.
@@ -423,25 +416,19 @@ class RunSetup:
         rx_app = float(sums[2]) / self.budget_rx
         rx_irq = float(sums[3]) / self.budget_rx
         metrics.record_tick(
-            self.dt, _NO_LANES, retr_segments, loss_events,
+            self.dt, retr_segments, loss_events,
             (tx_app / n, tx_irq / n, rx_app / n, rx_irq / n), float(sums[4]) / n,
             delivered_sum=delivered_sum,
         )
         return tx_app, tx_irq, rx_app, rx_irq
 
-    def kernel(self, f0: int, f1: int, cc_objects: bool) -> TickKernel:
-        """The tick kernel over lanes ``[f0, f1)``: per-flow CC objects
-        through :func:`make_kernel` (``REPRO_SIM_KERNEL``; BBR runs), or
-        a vector kernel from per-kind templates, in O(kinds)."""
-        sends, recvs = self.send_models[f0:f1], self.recv_models[f0:f1]
-        mss, kinds = float(self.mss), self.kinds[f0:f1]
-        if cc_objects:
-            ccs = [make_cc(kind, mss=mss) for kind in kinds]
-            return make_kernel(
-                ccs=ccs, send_models=sends, recv_models=recvs, **self.kernel_args
-            )
-        batch = CcBatch.from_kinds(kinds, mss=mss)
-        return VectorKernel.from_batch(batch, sends, recvs, **self.kernel_args)
+    def kernel(self, f0: int, f1: int, name: str | None) -> TickKernel:
+        """The ``name``d tick kernel (None: ``REPRO_SIM_KERNEL``) over
+        lanes ``[f0, f1)``, built from their cc kinds."""
+        return make_kernel(
+            name, self.kinds[f0:f1], float(self.mss),
+            self.send_models[f0:f1], self.recv_models[f0:f1], **self.kernel_args,
+        )
 
     # -- run events ------------------------------------------------------
 

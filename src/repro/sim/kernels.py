@@ -39,20 +39,23 @@ aspirational, because
   windowed-max state) and narrow algorithm groups run the scalar code
   in both kernels.
 
+Both are built from the run's per-flow cc kinds (the
+:func:`~repro.tcp.cc.make_cc` names): :class:`ScalarKernel` makes one
+object per flow, :class:`VectorKernel` takes the
+:class:`~repro.tcp.cc.batch.CcBatch` built from the same kinds.
 Selection mirrors the :mod:`repro.sim.sanitizer` opt-in pattern: the
 ``REPRO_SIM_KERNEL`` environment variable (``scalar`` | ``vector``),
 with :func:`force_kernel` / :func:`forced_kernel` as programmatic
 overrides for tests.  The default is ``vector``.  It reaches
-FlowSimulator runs, whose numerics build their lanes through
-:func:`make_kernel`; the sharded engine always builds vector kernels
-from per-kind templates.
+FlowSimulator runs through :func:`make_kernel`; the sharded engine
+names the vector kernel.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,7 +66,7 @@ from repro.sim.cpumodel import (
     ReceiverCostBatch,
     SenderCostBatch,
 )
-from repro.tcp.cc.base import CongestionControl
+from repro.tcp.cc import make_cc
 from repro.tcp.cc.batch import CcBatch
 
 __all__ = [
@@ -127,15 +130,18 @@ class TickKernel:
     """Per-run state and per-tick hooks shared by both kernels.
 
     The kernel owns the warm-started per-flow arrays that persist
-    across ticks: the congestion windows (``cwnd``) and the damped
+    across ticks: the congestion windows (``cwnd``, with the
+    ``needs_validation`` flags of their algorithms) and the damped
     receiver CPU limit fixed point (``rcv_limit``).
     """
 
     name = "base"
+    cwnd: np.ndarray
+    needs_validation: np.ndarray
 
     def __init__(
         self,
-        ccs: list[CongestionControl],
+        n: int,
         send_models: list[CpuCostModel],
         recv_models: list[CpuCostModel],
         *,
@@ -146,8 +152,7 @@ class TickKernel:
         budget_rx: float,
         agg_rx_base: float,
     ) -> None:
-        self.n = len(ccs)
-        self.ccs = ccs
+        self.n = n
         self.send_models = send_models
         self.recv_models = recv_models
         self.run_noise = run_noise
@@ -155,12 +160,8 @@ class TickKernel:
         self.rcv_app_share = rcv_app_share
         self.rcv_irq_share = rcv_irq_share
         self.budget_rx = budget_rx
-        self.cwnd = np.array([cc.cwnd_bytes for cc in ccs])
-        self.needs_validation = np.array(
-            [cc.needs_cwnd_validation for cc in ccs]
-        )
-        self.snd_limit = np.zeros(self.n)
-        self.rcv_limit = np.full(self.n, agg_rx_base)
+        self.snd_limit = np.zeros(n)
+        self.rcv_limit = np.full(n, agg_rx_base)
 
     def pacing(self, rtt: float, pace_eff: np.ndarray) -> np.ndarray:
         """Per-flow pacing caps: fq rate min'd with CC-internal pacing."""
@@ -206,9 +207,25 @@ class TickKernel:
 
 
 class ScalarKernel(TickKernel):
-    """Reference kernel: the original per-flow Python loops."""
+    """Reference kernel: the original per-flow Python loops, over one
+    ``make_cc`` object per flow."""
 
     name = "scalar"
+
+    def __init__(
+        self,
+        kinds: Sequence[str],
+        mss: float,
+        send_models: list[CpuCostModel],
+        recv_models: list[CpuCostModel],
+        **consts: float,
+    ) -> None:
+        super().__init__(len(kinds), send_models, recv_models, **consts)
+        self.ccs = [make_cc(kind, mss=mss) for kind in kinds]
+        self.cwnd = np.array([cc.cwnd_bytes for cc in self.ccs])
+        self.needs_validation = np.array(
+            [cc.needs_cwnd_validation for cc in self.ccs]
+        )
 
     def pacing(self, rtt: float, pace_eff: np.ndarray) -> np.ndarray:
         pace = pace_eff.copy()
@@ -305,54 +322,20 @@ class VectorKernel(TickKernel):
 
     name = "vector"
 
-    def __init__(self, ccs, send_models, recv_models, **kwargs) -> None:
-        super().__init__(ccs, send_models, recv_models, **kwargs)
-        self._bind(CcBatch(ccs))
-
-    @classmethod
-    def from_batch(
-        cls,
+    def __init__(
+        self,
         batch: CcBatch,
         send_models: list[CpuCostModel],
         recv_models: list[CpuCostModel],
-        *,
-        run_noise: float,
-        snd_app_share: float,
-        rcv_app_share: float,
-        rcv_irq_share: float,
-        budget_rx: float,
-        agg_rx_base: float,
-    ) -> "VectorKernel":
-        """Build from a prebuilt :class:`CcBatch`, no per-flow CC objects.
-
-        The sharded massive-flow path constructs its congestion state
-        via :meth:`CcBatch.from_kinds` (one template per algorithm);
-        this constructor accepts that batch directly, skipping the
-        O(flows) object scans in :meth:`TickKernel.__init__`.
-        """
-        self = cls.__new__(cls)
-        self.n = int(batch.cwnd.size)
-        self.ccs = []
-        self.send_models = send_models
-        self.recv_models = recv_models
-        self.run_noise = run_noise
-        self.snd_app_share = snd_app_share
-        self.rcv_app_share = rcv_app_share
-        self.rcv_irq_share = rcv_irq_share
-        self.budget_rx = budget_rx
-        self.needs_validation = batch.needs_validation
-        self.snd_limit = np.zeros(self.n)
-        self.rcv_limit = np.full(self.n, agg_rx_base)
-        self._bind(batch)
-        return self
-
-    def _bind(self, batch: CcBatch) -> None:
-        """Attach the CC batch and (re)build the per-run scratch state."""
+        **consts: float,
+    ) -> None:
+        super().__init__(int(batch.cwnd.size), send_models, recv_models, **consts)
         self.batch = batch
         # The batch owns the authoritative window array.
-        self.cwnd = self.batch.cwnd
-        self.sender = SenderCostBatch(self.send_models)
-        self.receiver = ReceiverCostBatch(self.recv_models)
+        self.cwnd = batch.cwnd
+        self.needs_validation = batch.needs_validation
+        self.sender = SenderCostBatch(send_models)
+        self.receiver = ReceiverCostBatch(recv_models)
         # Precomputed scalar coefficients (same association as the
         # scalar kernel's left-to-right evaluation).
         self._budget_app = self.budget_rx * self.rcv_app_share
@@ -427,14 +410,24 @@ class VectorKernel(TickKernel):
         return tx_app, tx_irq, zc_frac, rx_app, rx_irq
 
 
-_KERNELS = {"scalar": ScalarKernel, "vector": VectorKernel}
-
-
-def make_kernel(name: str | None = None, /, **kwargs) -> TickKernel:
-    """Build the selected kernel (None = ambient selection)."""
+def make_kernel(
+    name: str | None,
+    kinds: Sequence[str],
+    mss: float,
+    send_models: list[CpuCostModel],
+    recv_models: list[CpuCostModel],
+    **consts: float,
+) -> TickKernel:
+    """The ``name``d kernel (None = ambient selection) over flows of the
+    given cc ``kinds``; ``consts`` are :class:`TickKernel`'s run
+    constants."""
     resolved = kernel_name() if name is None else name
-    if resolved not in _KERNELS:
-        raise ConfigurationError(
-            f"{resolved!r} is not a tick kernel; choose one of {list(KERNEL_NAMES)}"
+    if resolved == "scalar":
+        return ScalarKernel(kinds, mss, send_models, recv_models, **consts)
+    if resolved == "vector":
+        return VectorKernel(
+            CcBatch(kinds, mss), send_models, recv_models, **consts
         )
-    return _KERNELS[resolved](**kwargs)
+    raise ConfigurationError(
+        f"{resolved!r} is not a tick kernel; choose one of {list(KERNEL_NAMES)}"
+    )

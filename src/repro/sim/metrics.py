@@ -69,13 +69,15 @@ class RunResult:
 
 
 class MetricsAccumulator:
-    """Streaming accumulation during a simulation run."""
+    """Streaming accumulation during a simulation run.
 
-    def __init__(self, n_flows: int, duration: float, omit: float) -> None:
-        self.n_flows = n_flows
+    Per-flow delivered bytes stay with the tick driver, which keeps
+    them in its lanes and hands them to :meth:`finalize`.
+    """
+
+    def __init__(self, duration: float, omit: float) -> None:
         self.duration = duration
         self.omit = omit
-        self._bytes = np.zeros(n_flows)
         self._retr = 0.0
         self._loss_events = 0
         # Tick counters; the clock values are closed forms (ticks * dt)
@@ -96,26 +98,18 @@ class MetricsAccumulator:
         self._interval_marks: list[float] = []
         self._next_interval = omit + 1.0
 
-    @property
-    def measured_time(self) -> float:
-        """Simulated seconds recorded after ``omit`` so far."""
-        return self._measured_time
-
     def record_tick(
         self,
         dt: float,
-        delivered: np.ndarray,
         retr_segments: float,
         loss_events: int,
         cpu_core_fracs: tuple[float, float, float, float],
         zc_fraction: float,
-        delivered_sum: float | None = None,
+        delivered_sum: float,
     ) -> None:
         """Record one tick.  ``cpu_core_fracs`` are fractions of one core
-        busy this tick for (tx app, tx irq, rx app, rx irq).
-        ``delivered_sum``, when given, must equal
-        ``float(np.add.reduce(delivered))`` — callers that already hold
-        the sum pass it to skip the redundant reduction."""
+        busy this tick for (tx app, tx irq, rx app, rx irq);
+        ``delivered_sum`` is the bytes all flows delivered."""
         self._ticks += 1
         self._time = self._ticks * dt
         # ticks * dt rounds to exactly `omit` at the boundary for every
@@ -125,10 +119,6 @@ class MetricsAccumulator:
             return
         self._measured_ticks += 1
         self._measured_time = self._measured_ticks * dt
-        if self.n_flows:
-            # (The flow engines keep per-flow bytes in their lanes and
-            # pass an empty array.)
-            self._bytes += delivered
         self._retr += retr_segments
         self._loss_events += loss_events
         self._cpu_tx_app += cpu_core_fracs[0] * dt
@@ -136,16 +126,15 @@ class MetricsAccumulator:
         self._cpu_rx_app += cpu_core_fracs[2] * dt
         self._cpu_rx_irq += cpu_core_fracs[3] * dt
         self._zc_sum += zc_fraction * dt
-        # ndarray.sum() dispatches to np.add.reduce; same pairwise bits.
-        if delivered_sum is None:
-            delivered_sum = float(np.add.reduce(delivered))
         self._interval_bytes += delivered_sum
         if self._time >= self._next_interval:
             self._interval_marks.append(self._interval_bytes)
             self._interval_bytes = 0.0
             self._next_interval += 1.0
 
-    def finalize(self) -> RunResult:
+    def finalize(self, flow_bytes: np.ndarray) -> RunResult:
+        """The run's result; ``flow_bytes`` are the bytes each flow
+        delivered after ``omit``."""
         t = max(self._measured_time, 1e-9)
         cpu = (
             np.array(
@@ -161,7 +150,7 @@ class MetricsAccumulator:
         return RunResult(
             duration=self.duration,
             omit=self.omit,
-            per_flow_goodput=self._bytes / t,
+            per_flow_goodput=flow_bytes / t,
             retransmit_segments=self._retr,
             loss_events=self._loss_events,
             sender_cpu=CpuUtil(app_pct=100 * cpu[0], irq_pct=100 * cpu[1]),

@@ -170,9 +170,10 @@ class Numerics:
     #: Trace events: per flow (``flow.tick``, ``cc.loss``,
     #: ``zc.fallback``, ``probe.socket|mpstat|nic``), or ``probe.shard``.
     flow_events: bool
-    #: Lanes: per-flow CC objects (so ``REPRO_SIM_KERNEL`` and BBR
-    #: work), or per-kind templates (see :meth:`RunSetup.kernel`).
-    cc_objects: bool
+    #: Tick kernel: None for the ambient ``REPRO_SIM_KERNEL`` selection,
+    #: or a kernel name the engine always uses (the block engine's
+    #: 10k–1M lanes are never stepped as scalar objects).
+    kernel: str | None
 
     def streams(self, rng: RngFactory, rep: int, n_blocks: int) -> tuple:
         """``(jitter, placement, background, bursts, drops, rx)``:
@@ -208,13 +209,13 @@ class Numerics:
 #: FlowSimulator's numerics: one in-process block of exactly ``n`` lanes.
 FLOWSIM_NUMERICS = Numerics(
     context="flowsim", fused_draw=True, lane_drops=True, local_maxmin=True,
-    flow_events=True, cc_objects=True,
+    flow_events=True, kernel=None,
 )
 
 #: The block engine's numerics: any shard count, any transport.
 BLOCK_NUMERICS = Numerics(
     context="shard", fused_draw=False, lane_drops=False, local_maxmin=False,
-    flow_events=False, cc_objects=False,
+    flow_events=False, kernel="vector",
 )
 
 

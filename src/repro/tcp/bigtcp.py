@@ -6,7 +6,8 @@ stack is traversed per byte.  The paper tests 150 KB-class sizes via::
 
     ip link set dev eth100 gso_ipv4_max_size 150000 gro_ipv4_max_size 150000
 
-Constraints reproduced here:
+Constraints reproduced (kernel limits in :mod:`repro.host.kernel`, the
+checks in :class:`~repro.host.machine.Host`):
 
 * needs kernel >= 5.19 (IPv6) or >= 6.3 (IPv4); the configuring tool
   (iproute2 >= 6.2) is assumed;
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.errors import ConfigurationError, FeatureUnavailableError
+from repro.core.errors import ConfigurationError
 from repro.host.kernel import Kernel
 
 __all__ = ["BigTcpConfig", "PAPER_BIG_TCP_SIZE"]
@@ -48,26 +49,6 @@ class BigTcpConfig:
     @classmethod
     def paper(cls) -> "BigTcpConfig":
         return cls(gso_size=PAPER_BIG_TCP_SIZE, gro_size=PAPER_BIG_TCP_SIZE)
-
-    def validate_for(self, kernel: Kernel, with_zerocopy: bool = False) -> None:
-        """Raise unless this kernel can run the configuration."""
-        limit = kernel.big_tcp_limit(ipv6=self.ipv6)
-        if limit <= 65536:
-            family = "IPv6" if self.ipv6 else "IPv4"
-            raise FeatureUnavailableError(
-                "BIG TCP",
-                f"kernel {kernel.version} lacks {family} BIG TCP "
-                f"(needs {'5.19' if self.ipv6 else '6.3'}+)",
-            )
-        if self.gso_size > limit or self.gro_size > limit:
-            raise ConfigurationError(
-                f"BIG TCP size exceeds kernel limit {limit} bytes"
-            )
-        if with_zerocopy and not kernel.allows_bigtcp_with_zerocopy:
-            raise FeatureUnavailableError(
-                "BIG TCP + MSG_ZEROCOPY",
-                "requires a custom kernel with CONFIG_MAX_SKB_FRAGS=45",
-            )
 
     def effective_gso(self, kernel: Kernel) -> float:
         return float(min(self.gso_size, kernel.big_tcp_limit(ipv6=self.ipv6)))

@@ -18,17 +18,12 @@ Stepper registry
 Each array-batched algorithm registers its stepper with the
 :func:`batch_stepper` decorator, which stamps the CC class's
 ``batch_group`` attribute and appends to one ordered ``_REGISTRY``
-list.  That single list drives *both* :class:`CcBatch` constructors —
-the object path (``__init__``) and the template path (``from_kinds``) —
-so their group ordering cannot diverge (it used to be hard-coded twice,
-and a divergence would silently break scalar<->batch digest parity).
-Dispatch walks the CC class's MRO: a class with its own registration
+list, the order of :class:`CcBatch`'s array groups.  Dispatch walks the CC class's MRO: a class with its own registration
 batches; a class that *inherits* a stepper without registering its own
 raises (the parent's stepper would compute the parent's dynamics for
-the subclass's flows — silently demoting it to the object path, the
-old behaviour, is exactly the bug this replaces); a class with
-``batch_group = None`` anywhere on the MRO always runs as scalar
-objects in the :class:`_ObjectGroup`.
+the subclass's flows); a class with ``batch_group = None`` anywhere on
+the MRO (BBR) always runs as scalar objects in the
+:class:`_ObjectGroup`.
 
 Byte-parity discipline
 ----------------------
@@ -61,6 +56,8 @@ change any number.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.errors import ConfigurationError
@@ -89,8 +86,8 @@ __all__ = [
 #: steppers win from 16-32 lanes (measured table: DESIGN.md §16).
 OBJECT_LANES = 8
 
-#: (CC class, stepper class) in registration order — the one canonical
-#: group ordering shared by both :class:`CcBatch` constructors.
+#: (CC class, stepper class) in registration order — the order of
+#: :class:`CcBatch`'s array groups.
 _REGISTRY: list[tuple[type[CongestionControl], type["_ArrayGroup"]]] = []
 
 
@@ -129,7 +126,7 @@ def group_class_for(cc_cls: type) -> type["_ArrayGroup"] | None:
 
 
 def is_batchable(kind: str) -> bool:
-    """Whether a cc *kind* string names a template-batchable algorithm.
+    """Whether a cc *kind* string names an algorithm with an array stepper.
 
     Accepts the same parameterized kind grammar as
     :func:`repro.tcp.cc.make_cc` (``"tunable-cubic:c=0.8,beta=0.9"``).
@@ -146,7 +143,7 @@ def is_batchable(kind: str) -> bool:
 
 
 def template_kinds() -> list[str]:
-    """Registered algorithm names that support template batching."""
+    """Registered algorithm names that have an array stepper."""
     from repro.tcp.cc import CC_ALGORITHMS
 
     return sorted(
@@ -159,36 +156,14 @@ def template_kinds() -> list[str]:
 class _ArrayGroup:
     """Shared slow-start machinery for array-backed algorithm groups."""
 
-    def __init__(self, idx: np.ndarray, ccs: list[CongestionControl]) -> None:
-        g = len(ccs)
+    def __init__(self, idx: np.ndarray, template: CongestionControl) -> None:
+        """Lanes ``idx`` of one kind, each starting from ``template``'s
+        freshly constructed state."""
+        g = int(idx.size)
         self.idx = idx
         #: True when this group holds every flow in natural order, so
         #: per-flow inputs can be used directly instead of gathered and
         #: the group window array can back the full ``CcBatch.cwnd``.
-        self.full = False
-        self.mss = ccs[0].mss
-        self.cwnd = np.array([cc.state.cwnd_bytes for cc in ccs])
-        self.ssthresh = np.array([cc.state.ssthresh_bytes for cc in ccs])
-        self.in_ss = np.array([cc.state.in_slow_start for cc in ccs])
-        self.any_ss = bool(self.in_ss.any())
-        self.last_loss = np.full(g, float("-inf"))
-        self.loss_events = np.zeros(g, dtype=int)
-
-    @classmethod
-    def _from_template(
-        cls, idx: np.ndarray, template: CongestionControl
-    ) -> "_ArrayGroup":
-        """Build a group by replicating one template CC's initial state.
-
-        The per-object constructor reads identical freshly-constructed
-        state from every object of a kind, so replicating one template's
-        values produces the same arrays without materializing one Python
-        CC object per flow — the massive-flow (sharded) path relies on
-        this to stay O(kinds) rather than O(flows) at setup.
-        """
-        self = cls.__new__(cls)
-        g = int(idx.size)
-        self.idx = idx
         self.full = False
         self.mss = template.mss
         self.cwnd = np.full(g, float(template.state.cwnd_bytes))
@@ -197,7 +172,6 @@ class _ArrayGroup:
         self.any_ss = bool(self.in_ss.any())
         self.last_loss = np.full(g, float("-inf"))
         self.loss_events = np.zeros(g, dtype=int)
-        return self
 
     def pacing(self, rtt: float, pace: np.ndarray) -> None:
         return  # loss-based algorithms are window-limited (pacing_rate None)
@@ -251,35 +225,21 @@ class _ArrayGroup:
         cwnd_full[self.idx] = self.cwnd
 
 
-#: Cubic's TCP-friendly Reno-tracking slope, 3(1-β)/(1+β) — the same
-#: scalar expression ``Cubic.__init__`` evaluates, precomputed once.
-_CUBIC_ALPHA = 3.0 * (1.0 - Cubic.BETA) / (1.0 + Cubic.BETA)
-
-
 @batch_stepper(Cubic)
 class _CubicBatch(_ArrayGroup):
     """Array transcription of :class:`~repro.tcp.cc.cubic.Cubic`.
 
-    The CUBIC constants live in ``self._c`` / ``self._beta`` /
-    ``self._alpha`` — Python floats here, per-flow arrays in the
-    :class:`_TunableCubicBatch` subclass.  Elementwise multiplication
-    by a scalar and by an array of that scalar round identically, so
-    the shared formulas stay bit-exact in both shapes.
+    The CUBIC constants (``C``, ``BETA`` and the Reno-tracking slope
+    ``_alpha``) are read from the template as Python floats, so the
+    same code serves :class:`_TunableCubicBatch`, whose kinds set them.
     """
 
-    def __init__(self, idx: np.ndarray, ccs: list[Cubic]) -> None:
-        super().__init__(idx, ccs)
-        self._init_cubic_state(len(ccs))
-        self._init_params(ccs)
-
-    @classmethod
-    def _from_template(cls, idx: np.ndarray, template: Cubic) -> "_CubicBatch":
-        self = super()._from_template(idx, template)
-        self._init_cubic_state(int(idx.size))
-        self._init_template_params(template, int(idx.size))
-        return self
-
-    def _init_cubic_state(self, g: int) -> None:
+    def __init__(self, idx: np.ndarray, template: Cubic) -> None:
+        super().__init__(idx, template)
+        g = int(idx.size)
+        self._c = float(template.C)
+        self._beta = float(template.BETA)
+        self._alpha = float(template._alpha)
         self.w_max = np.zeros(g)
         self.k = np.zeros(g)
         # NaN encodes the scalar model's ``_epoch_start is None``; the
@@ -293,29 +253,6 @@ class _CubicBatch(_ArrayGroup):
         # results land, never their bits).
         self._t1 = np.empty(g)
         self._t2 = np.empty(g)
-
-    # -- parameter plumbing (scalars here, arrays in the tunable subclass) --
-
-    def _init_params(self, ccs: list[Cubic]) -> None:
-        self._c = Cubic.C
-        self._beta = Cubic.BETA
-        self._alpha = _CUBIC_ALPHA
-
-    def _init_template_params(self, template: Cubic, g: int) -> None:
-        self._c = Cubic.C
-        self._beta = Cubic.BETA
-        self._alpha = _CUBIC_ALPHA
-
-    def _c_at(self, sel: np.ndarray):
-        return self._c
-
-    def _alpha_at(self, sel: np.ndarray):
-        return self._alpha
-
-    def _loss_params(self, pos: int) -> tuple[float, float]:
-        return self._c, self._beta
-
-    # -----------------------------------------------------------------------
 
     def _open_epoch(self, now: float, sel: np.ndarray) -> None:
         """Epoch open at a slow-start exit: w_start == w_max, so the
@@ -356,7 +293,7 @@ class _CubicBatch(_ArrayGroup):
                     np.add(self.w_est, b1, out=self.w_est)
                 else:
                     pi = np.nonzero(self.cwnd > 0)[0]
-                    self.w_est[pi] += self._alpha_at(pi) * (d[pi] / self.cwnd[pi])
+                    self.w_est[pi] += self._alpha * (d[pi] / self.cwnd[pi])
             np.maximum(b2, self.w_est, out=b2)
             np.multiply(b2, self.mss, out=b2)
             # where(new > cw, new, cw) == maximum(new, cw) bit-for-bit
@@ -387,10 +324,10 @@ class _CubicBatch(_ArrayGroup):
                     self._open_epoch(now, need)
             t = now - self.epoch[gi]
             dd = t - self.k[gi]
-            target = self._c_at(gi) * (dd * dd * dd) + self.w_max[gi]
+            target = self._c * (dd * dd * dd) + self.w_max[gi]
             if rtt > 0:
                 pi = gi[self.cwnd[gi] > 0]
-                self.w_est[pi] += self._alpha_at(pi) * (d[pi] / self.cwnd[pi])
+                self.w_est[pi] += self._alpha * (d[pi] / self.cwnd[pi])
             new_bytes = np.maximum(target, self.w_est[gi]) * self.mss
             cw = self.cwnd[gi]
             self.cwnd[gi] = np.where(new_bytes > cw, new_bytes, cw)
@@ -405,7 +342,7 @@ class _CubicBatch(_ArrayGroup):
         """Scalar transcription of ``Cubic._react_to_loss`` for one flow."""
         if not self._loss_gate(now, rtt, pos):
             return None
-        c, beta = self._loss_params(pos)
+        c, beta = self._c, self._beta
         before = float(self.cwnd[pos])
         w_seg = self.cwnd[pos] / self.mss
         if w_seg < self.w_max[pos]:
@@ -530,17 +467,9 @@ class _HtcpBatch(_ArrayGroup):
     the scalar model's ``_delta_start`` is None, with a bool mirror).
     """
 
-    def __init__(self, idx: np.ndarray, ccs: list[HTcp]) -> None:
-        super().__init__(idx, ccs)
-        self._init_htcp_state(len(ccs))
-
-    @classmethod
-    def _from_template(cls, idx: np.ndarray, template: HTcp) -> "_HtcpBatch":
-        self = super()._from_template(idx, template)
-        self._init_htcp_state(int(idx.size))
-        return self
-
-    def _init_htcp_state(self, g: int) -> None:
+    def __init__(self, idx: np.ndarray, template: HTcp) -> None:
+        super().__init__(idx, template)
+        g = int(idx.size)
         self.start = np.full(g, np.nan)
         self.started = np.zeros(g, dtype=bool)
         self.rtt_min = np.full(g, float("inf"))
@@ -660,19 +589,9 @@ class _ScalableBatch(_ArrayGroup):
 class _WestwoodBatch(_ArrayGroup):
     """Array transcription of :class:`~repro.tcp.cc.westwood.WestwoodPlus`."""
 
-    def __init__(self, idx: np.ndarray, ccs: list[WestwoodPlus]) -> None:
-        super().__init__(idx, ccs)
-        self._init_westwood_state(len(ccs))
-
-    @classmethod
-    def _from_template(
-        cls, idx: np.ndarray, template: WestwoodPlus
-    ) -> "_WestwoodBatch":
-        self = super()._from_template(idx, template)
-        self._init_westwood_state(int(idx.size))
-        return self
-
-    def _init_westwood_state(self, g: int) -> None:
+    def __init__(self, idx: np.ndarray, template: WestwoodPlus) -> None:
+        super().__init__(idx, template)
+        g = int(idx.size)
         self.bw = np.zeros(g)
         self.acked = np.zeros(g)
         self.win_start = np.zeros(g)
@@ -743,32 +662,11 @@ class _WestwoodBatch(_ArrayGroup):
 
 @batch_stepper(TunableCubic)
 class _TunableCubicBatch(_CubicBatch):
-    """:class:`_CubicBatch` with per-flow alpha/beta/C parameter arrays.
+    """:class:`_CubicBatch` for :class:`~repro.tcp.cc.tunable.TunableCubic`.
 
-    The object constructor may mix parameterizations in one group; the
-    template path builds one group per distinct kind string, so the
-    arrays are then constant — still bit-identical, since elementwise
-    array arithmetic equals the scalar-constant arithmetic lane by lane.
+    Each distinct kind string (``"tunable-cubic:beta=0.6"``) is its own
+    group, so a group's alpha/beta/C are its template's floats.
     """
-
-    def _init_params(self, ccs: list[TunableCubic]) -> None:
-        self._c = np.array([cc.C for cc in ccs])
-        self._beta = np.array([cc.BETA for cc in ccs])
-        self._alpha = np.array([cc._alpha for cc in ccs])
-
-    def _init_template_params(self, template: TunableCubic, g: int) -> None:
-        self._c = np.full(g, float(template.C))
-        self._beta = np.full(g, float(template.BETA))
-        self._alpha = np.full(g, float(template._alpha))
-
-    def _c_at(self, sel: np.ndarray):
-        return self._c[sel]
-
-    def _alpha_at(self, sel: np.ndarray):
-        return self._alpha[sel]
-
-    def _loss_params(self, pos: int) -> tuple[float, float]:
-        return float(self._c[pos]), float(self._beta[pos])
 
 
 class _ObjectGroup:
@@ -827,110 +725,57 @@ class _ObjectGroup:
 
 
 class CcBatch:
-    """Batched congestion feedback over a mixed set of flows."""
+    """Batched congestion feedback over a mixed set of flows.
 
-    def __init__(self, ccs: list[CongestionControl]) -> None:
-        self.cwnd = np.array([cc.cwnd_bytes for cc in ccs])
-        self.needs_validation = np.array(
-            [cc.needs_cwnd_validation for cc in ccs]
-        )
-        by_group: dict[type, list[int]] = {}
-        objects: dict[int, CongestionControl] = {}
-        for i, cc in enumerate(ccs):
-            gcls = group_class_for(type(cc))
-            if gcls is None:
-                objects[i] = cc
-            else:
-                by_group.setdefault(gcls, []).append(i)
-        #: Whether any flow may impose its own pacing rate: only classes
-        #: without a batch stepper (BBR) do; lets the kernel skip the fold.
-        self.self_paced = bool(objects)
-        # Deterministic group order: registry (definition) order, object
-        # group last — from_kinds derives its order from the same
-        # registry list, so the two constructors cannot diverge.
-        groups: list = []
-        for _cc_cls, gcls in _REGISTRY:
-            idx = by_group.pop(gcls, None)
-            if not idx:
-                continue
-            if len(idx) < OBJECT_LANES:
-                objects.update((i, ccs[i]) for i in idx)
-            else:
-                groups.append(gcls(np.array(idx), [ccs[i] for i in idx]))
-        self._assemble(groups, objects)
+    Built from per-flow cc kinds, the :func:`~repro.tcp.cc.make_cc`
+    names (``"cubic"``, ``"tunable-cubic:beta=0.6"``).  Each distinct
+    kind gets one template object, whose fresh state every array lane
+    of that kind starts from.  Array groups follow the registry order,
+    sub-ordered by a kind's first appearance; flows of an algorithm
+    with fewer than :data:`OBJECT_LANES` lanes, and every flow of an
+    algorithm with no stepper (BBR), step as per-flow objects in the
+    one :class:`_ObjectGroup`, last.  Set-up is O(kinds) plus those
+    objects, whatever the flow count.
+    """
 
-    @classmethod
-    def from_kinds(cls, kinds: list[str], mss: float) -> "CcBatch":
-        """Build a batch from per-flow algorithm *names* via templates.
+    def __init__(self, kinds: Sequence[str], mss: float) -> None:
+        from repro.tcp.cc import make_cc
 
-        The object constructor above needs one Python CC object per
-        flow; at sharded campaign scale (10k–1M flows) that is the
-        setup bottleneck.  Freshly-constructed CCs of a kind are
-        interchangeable, so one template per kind supplies the initial
-        state (:meth:`_ArrayGroup._from_template`) and group membership
-        comes straight from the name list.  Parameterized kinds
-        (``"tunable-cubic:alpha=..."``) group per distinct string, each
-        with its own template.  An algorithm with fewer than
-        :data:`OBJECT_LANES` lanes gets per-flow objects instead, as in
-        the object constructor; that is fewer than ``OBJECT_LANES``
-        objects per algorithm, so setup stays O(kinds).  Only
-        array-backed algorithms are supported — object-group CCs (BBR)
-        would need per-flow objects at any scale, defeating the point.
-        """
-        from repro.tcp.cc import CC_ALGORITHMS, make_cc
-
-        self = cls.__new__(cls)
         n = len(kinds)
         if n == 0:
             raise ConfigurationError("need at least one flow")
-        reg_pos = {cc_cls: p for p, (cc_cls, _g) in enumerate(_REGISTRY)}
         by_kind: dict[str, list[int]] = {}
-        group_types: dict[str, type] = {}
-        # Kind -> (registry position, first appearance): the same
-        # registry order the object constructor walks, sub-ordered by
-        # first appearance for parameterized variants of one algorithm.
-        order: dict[str, tuple[int, int]] = {}
         for i, kind in enumerate(kinds):
-            if kind not in group_types:
-                base = kind.partition(":")[0].strip().lower()
-                cc_cls = CC_ALGORITHMS.get(base)
-                gcls = group_class_for(cc_cls) if cc_cls is not None else None
-                if gcls is None:
-                    raise ConfigurationError(
-                        f"cc {kind!r} does not support template batching; "
-                        f"choose one of {template_kinds()}"
-                    )
-                group_types[kind] = gcls
-                order[kind] = (reg_pos[cc_cls], len(order))
             by_kind.setdefault(kind, []).append(i)
-        # Lanes per algorithm, as the object constructor counts them.
-        lanes: dict[type, int] = {}
+        templates = {kind: make_cc(kind, mss=mss) for kind in by_kind}
+        group_of = {
+            kind: group_class_for(type(cc)) for kind, cc in templates.items()
+        }
+        # Lanes per algorithm (not per parameterized kind string).
+        lanes: dict[type | None, int] = {}
         for kind, idx in by_kind.items():
-            gcls = group_types[kind]
+            gcls = group_of[kind]
             lanes[gcls] = lanes.get(gcls, 0) + len(idx)
+        #: Whether any flow may impose its own pacing rate: only classes
+        #: without a batch stepper (BBR) do; lets the kernel skip the fold.
+        self.self_paced = None in lanes
         self.cwnd = np.empty(n)
         self.needs_validation = np.empty(n, dtype=bool)
-        self.self_paced = False
+        reg_pos = {gcls: p for p, (_cc_cls, gcls) in enumerate(_REGISTRY)}
         groups: list = []
         objects: dict[int, CongestionControl] = {}
-        for kind in sorted(by_kind, key=order.__getitem__):
-            idx = by_kind[kind]
-            gcls = group_types[kind]
-            template = make_cc(kind, mss=mss)
-            self.cwnd[idx] = template.cwnd_bytes
-            self.needs_validation[idx] = template.needs_cwnd_validation
-            if lanes[gcls] < OBJECT_LANES:
-                objects.update((i, make_cc(kind, mss=mss)) for i in idx)
+        # A stable sort keeps first appearance within an algorithm.
+        for kind in sorted(by_kind, key=lambda k: reg_pos.get(group_of[k], -1)):
+            idx, gcls, template = by_kind[kind], group_of[kind], templates[kind]
+            lanes_of_kind = np.array(idx)
+            self.cwnd[lanes_of_kind] = template.cwnd_bytes
+            self.needs_validation[lanes_of_kind] = template.needs_cwnd_validation
+            if gcls is None or lanes[gcls] < OBJECT_LANES:
+                # The untouched template steps as the kind's first flow.
+                objects[idx[0]] = template
+                objects.update((i, make_cc(kind, mss=mss)) for i in idx[1:])
             else:
-                groups.append(gcls._from_template(np.array(idx), template))
-        self._assemble(groups, objects)
-        return self
-
-    def _assemble(
-        self, groups: list, objects: dict[int, CongestionControl]
-    ) -> None:
-        """Finish construction: append the object group (flows in index
-        order), map each flow to its owner, alias a lone array group."""
+                groups.append(gcls(lanes_of_kind, template))
         if objects:
             idx = sorted(objects)
             groups.append(

@@ -12,9 +12,9 @@ an alpha x beta grid is an ordinary experiment campaign
 
 The implementation *is* :class:`~repro.tcp.cc.cubic.Cubic`: the knobs
 shadow the class constants as instance attributes, which the parent's
-methods already read through ``self``.  The batch layer keeps these
-per-flow (a ``_TunableCubicBatch`` carries parameter arrays), so mixed
-parameterizations batch together.
+methods already read through ``self``.  The batch layer steps each
+distinct parameterization as its own ``_TunableCubicBatch`` group,
+with that kind's constants.
 """
 
 from __future__ import annotations

@@ -46,11 +46,3 @@ class SocketProfile:
         if rtt <= 0:
             return float("inf")
         return self.max_window / rtt
-
-    def buffer_footprint(self, cwnd_bytes: float) -> float:
-        """Bytes of send-buffer memory the sender actively touches.
-
-        The sender keeps the full unacked window in the socket buffer;
-        the working set for copies is ~min(cwnd, max send buffer).
-        """
-        return min(cwnd_bytes, self.max_send_window * 2.0)

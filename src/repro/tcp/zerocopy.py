@@ -113,18 +113,6 @@ class ZerocopyModel:
         """
         return self.inflight_sends(rate, rtt) * self.notif_bytes
 
-    def probe_args(self, rate: float, rtt: float) -> dict:
-        """ss/ethtool-style counters for trace probes at one operating
-        point — pure observation, shares no state with the cost model."""
-        frac = self.zc_fraction(rate, rtt)
-        return {
-            "zc_fraction": round(frac, 6),
-            "inflight_sends": round(self.inflight_sends(rate, rtt), 3),
-            "max_pending_sends": round(self.max_pending_sends, 3),
-            "required_optmem": round(self.required_optmem(rate, rtt), 1),
-            "fallback": bool(frac < 1.0),
-        }
-
     def describe(self, rate: float, rtt: float) -> str:
         frac = self.zc_fraction(rate, rtt)
         return (

@@ -27,7 +27,7 @@ from repro.net.path import NetworkPath
 from repro.tools.iperf3 import Iperf3, Iperf3Options, Iperf3Result
 from repro.trace.bus import active as trace_active
 
-__all__ = ["HarnessConfig", "HarnessResult", "TestHarness"]
+__all__ = ["HARNESS_PROFILES", "HarnessConfig", "HarnessResult", "TestHarness"]
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,14 @@ class HarnessConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "HarnessConfig":
         return cls(**doc)
+
+
+#: The named fidelity profiles (``--profile``, a served ``"profile"``).
+HARNESS_PROFILES = {
+    "quick": HarnessConfig.quick,
+    "bench": HarnessConfig.bench,
+    "paper": HarnessConfig.paper,
+}
 
 
 @dataclass(frozen=True)
@@ -150,17 +158,6 @@ class HarnessResult:
             irq_pct=float(np.mean([r.run.receiver_cpu.irq_pct for r in self.runs])),
         )
 
-    def table_row(self) -> dict:
-        """A row in the shape of the paper's Tables I/II."""
-        return {
-            "config": self.label,
-            "avg_gbps": round(self.mean_gbps, 1),
-            "retr": int(round(self.mean_retransmits)),
-            "min": round(self.min_gbps, 1),
-            "max": round(self.max_gbps, 1),
-            "stdev": round(self.stdev_gbps, 2),
-        }
-
 
 class TestHarness:
     """Runs a test matrix against a (sender, receiver, path) triple."""
@@ -201,9 +198,3 @@ class TestHarness:
                 with bus.scoped(f"{label}#r{i}"):
                     runs.append(tool.run(options, rep=i))
         return HarnessResult(label=label, options=options, runs=runs)
-
-    def run_matrix(
-        self, cases: list[tuple[str, Iperf3Options]]
-    ) -> list[HarnessResult]:
-        """Run a list of (label, options) cases, in order."""
-        return [self.run(opts, label) for label, opts in cases]

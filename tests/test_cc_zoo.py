@@ -6,14 +6,13 @@ Three families of pins:
   each zoo member worth simulating (HighSpeed's log-linear backoff,
   H-TCP's elapsed-time alpha, Scalable's MIMD invariance, Westwood's
   bandwidth-estimate ssthresh, TunableCubic's knob plumbing);
-* the batch registry — both :class:`CcBatch` constructors derive group
-  membership and ordering from one registry, subclasses of batched
-  algorithms must register or raise (never silently fall back to the
-  slow object path computing who-knows-whose dynamics), both pick the
-  array stepper or the scalar objects per algorithm by lane count
-  (``OBJECT_LANES``), and the object/template constructors stay
-  bit-identical on mixed kinds; every array stepper, at the width that
-  selects it, matches the scalar objects step for step;
+* the batch registry — :class:`CcBatch` derives group membership and
+  ordering from one registry, subclasses of batched algorithms must
+  register or raise (never silently fall back to the slow object path
+  computing who-knows-whose dynamics), and the batch picks the array
+  stepper or the scalar objects per algorithm by lane count
+  (``OBJECT_LANES``); every array stepper, at the width that selects
+  it, matches the scalar objects step for step;
 * the RTO reset — ``on_timeout`` must clear algorithm epoch state via
   ``_react_to_timeout``, not just the base window fields.  The H-TCP
   and Cubic assertions here fail against the pre-fix base class (which
@@ -253,78 +252,39 @@ class TestBatchRegistry:
         }
         assert template_kinds() == sorted(batchable)
 
-    def test_unregistered_subclass_of_batched_cc_raises(self):
+    def test_unregistered_subclass_of_batched_cc_raises(self, monkeypatch):
         # The old dispatch (`type(cc) is Cubic`) silently demoted any
         # Cubic subclass to the slow object path; the registry refuses.
         class FutureCubic(Cubic):
             name = "future-cubic"
 
+        monkeypatch.setitem(CC_ALGORITHMS, "future-cubic", FutureCubic)
         with pytest.raises(ConfigurationError, match="FutureCubic"):
-            CcBatch([FutureCubic(mss=MSS)])
+            CcBatch(["future-cubic"], mss=MSS)
 
-    def test_subclass_may_opt_out_explicitly(self):
+    def test_subclass_may_opt_out_explicitly(self, monkeypatch):
         class OddCubic(Cubic):
             name = "odd-cubic"
             batch_group = None
 
-        batch = CcBatch([OddCubic(mss=MSS), Cubic(mss=MSS)])
+        monkeypatch.setitem(CC_ALGORITHMS, "odd-cubic", OddCubic)
+        batch = CcBatch(["odd-cubic", "cubic"], mss=MSS)
         kinds = [type(g) for g in batch._groups]
         assert _ObjectGroup in kinds
 
-    def test_object_path_cc_subclass_is_fine(self):
+    def test_object_path_cc_subclass_is_fine(self, monkeypatch):
         class TracingBbr(Bbr1):
             name = "tracing-bbr"
 
-        batch = CcBatch([TracingBbr(mss=MSS)])
+        monkeypatch.setitem(CC_ALGORITHMS, "tracing-bbr", TracingBbr)
+        batch = CcBatch(["tracing-bbr"], mss=MSS)
         assert isinstance(batch._groups[0], _ObjectGroup)
 
     def test_registered_subclass_batches(self):
-        batch = CcBatch(
-            [TunableCubic(mss=MSS, beta=0.6) for _ in range(OBJECT_LANES)]
-        )
+        batch = CcBatch(["tunable-cubic:beta=0.6"] * OBJECT_LANES, mss=MSS)
         grp = batch._groups[0]
         assert type(grp) is TunableCubic.batch_group
         assert grp.full
-
-    def test_from_kinds_rejects_object_path_cc(self):
-        with pytest.raises(ConfigurationError, match="template batching"):
-            CcBatch.from_kinds(["cubic", "bbr1"], mss=MSS)
-
-
-class TestConstructorParity:
-    """Object and template constructors: one registry, one ordering."""
-
-    KINDS = [
-        "westwood", "cubic", "tunable-cubic:beta=0.6", "scalable",
-        "reno", "htcp", "highspeed", "cubic", "westwood", "reno",
-    ]
-
-    def test_group_order_identical(self):
-        objs = CcBatch([make_cc(k, mss=MSS) for k in self.KINDS])
-        tmpl = CcBatch.from_kinds(self.KINDS, mss=MSS)
-        assert [type(g) for g in objs._groups] == [
-            type(g) for g in tmpl._groups
-        ]
-        for a, b in zip(objs._groups, tmpl._groups):
-            assert np.array_equal(a.idx, b.idx)
-
-    def test_mixed_kind_trajectories_bit_identical(self):
-        objs = CcBatch([make_cc(k, mss=MSS) for k in self.KINDS])
-        tmpl = CcBatch.from_kinds(self.KINDS, mss=MSS)
-        n = len(self.KINDS)
-        rng = np.random.default_rng(5)
-        now, dt, rtt = 0.0, 0.008, 0.054
-        for step in range(1200):
-            now += dt
-            delivered = rng.uniform(0, 2.5, n) * objs.cwnd * (dt / rtt)
-            al = rng.random(n) < 0.05
-            loss = np.nonzero(rng.random(n) < 0.01)[0]
-            to = np.nonzero(rng.random(n) < 0.003)[0]
-            ra = objs.feedback(now, dt, rtt, delivered, loss, al, 1e9)
-            rb = tmpl.feedback(now, dt, rtt, delivered, loss, al, 1e9)
-            assert ra == rb, step
-            assert objs.timeout(now, to) == tmpl.timeout(now, to), step
-            assert np.array_equal(objs.cwnd, tmpl.cwnd), step
 
 
 def _scalar_feedback(ccs, now, dt, rtt, delivered, loss, al, max_window):
@@ -355,7 +315,7 @@ def _scalar_timeout(ccs, now, idx):
 
 class TestArrayStepperParity:
     """Every array stepper, at the lane count that selects it, against
-    the scalar objects it transcribes — through both constructors.
+    the scalar objects it transcribes.
 
     Narrower groups step through the objects themselves, so the 2-lane
     mixes elsewhere in this file no longer reach the steppers.
@@ -368,12 +328,8 @@ class TestArrayStepperParity:
     def test_cwnd_bit_identical_every_step(self, kinds):
         flows = [k for k in kinds for _ in range(OBJECT_LANES)]
         ref = [make_cc(k, mss=MSS) for k in flows]
-        batches = [
-            CcBatch([make_cc(k, mss=MSS) for k in flows]),
-            CcBatch.from_kinds(flows, mss=MSS),
-        ]
-        for batch in batches:
-            assert not any(isinstance(g, _ObjectGroup) for g in batch._groups)
+        batch = CcBatch(flows, mss=MSS)
+        assert not any(isinstance(g, _ObjectGroup) for g in batch._groups)
         n = len(flows)
         rng = np.random.default_rng(17)
         now, dt, rtt = 0.0, 0.008, 0.054
@@ -387,16 +343,35 @@ class TestArrayStepperParity:
             want = _scalar_feedback(ref, now, dt, rtt, delivered, loss, al, 1e9)
             want_to = _scalar_timeout(ref, now, to)
             cwnd = np.array([cc.cwnd_bytes for cc in ref])
-            for batch in batches:
-                got = batch.feedback(now, dt, rtt, delivered, loss, al, 1e9)
-                assert got == want, step
-                assert batch.timeout(now, to) == want_to, step
-                assert np.array_equal(batch.cwnd, cwnd), step
+            got = batch.feedback(now, dt, rtt, delivered, loss, al, 1e9)
+            assert got == want, step
+            assert batch.timeout(now, to) == want_to, step
+            assert np.array_equal(batch.cwnd, cwnd), step
 
 
+def _run_batch(kinds):
+    """The batch a simulation run builds for FlowSpec objects of these
+    kinds: through :meth:`RunSetup.kernel`, as the tick driver does."""
+    from repro.core.rng import RngFactory
+    from repro.sim.flowsim import FlowSpec, RunSetup, SimProfile
+    from repro.testbeds.amlight import AmLightTestbed
+
+    tb = AmLightTestbed(kernel="6.8")
+    rng = RngFactory(0)
+    setup = RunSetup(
+        *tb.host_pair(), tb.path("lan"), [(FlowSpec(cc=k), 1) for k in kinds],
+        SimProfile.quick(), rng=rng, rep=0,
+        jitter_rng=rng.stream("hostjitter", 0),
+        place_rng=rng.stream("placement", 0),
+        bg_rng=rng.stream("background", 0), context="test",
+    )
+    return setup.kernel(0, len(kinds), "vector").batch
+
+
+#: A run's flows (FlowSpec objects) and bare kind strings.
 _BUILDERS = {
-    "objects": lambda kinds: CcBatch([make_cc(k, mss=MSS) for k in kinds]),
-    "templates": lambda kinds: CcBatch.from_kinds(kinds, mss=MSS),
+    "objects": _run_batch,
+    "templates": lambda kinds: CcBatch(kinds, mss=MSS),
 }
 each_constructor = pytest.mark.parametrize(
     "build", _BUILDERS.values(), ids=_BUILDERS
@@ -441,7 +416,6 @@ class TestObjectLanesSelection:
         assert not batch.self_paced
 
     def test_bbr_flow_is_self_paced(self):
-        # Objects only: from_kinds rejects BBR (see TestBatchRegistry).
         kinds = ["cubic"] * OBJECT_LANES + ["reno", "bbr1"]
         batch = _BUILDERS["objects"](kinds)
         assert batch.self_paced

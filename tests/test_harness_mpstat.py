@@ -38,18 +38,6 @@ class TestHarnessRuns:
         res = harness.run(Iperf3Options())
         assert res.max_gbps > res.min_gbps
 
-    def test_table_row_shape(self, harness):
-        row = harness.run(Iperf3Options(), label="unpaced").table_row()
-        assert set(row) == {"config", "avg_gbps", "retr", "min", "max", "stdev"}
-        assert row["config"] == "unpaced"
-
-    def test_run_matrix(self, harness):
-        results = harness.run_matrix([
-            ("a", Iperf3Options()),
-            ("b", Iperf3Options(fq_rate_gbps=10)),
-        ])
-        assert [r.label for r in results] == ["a", "b"]
-
     def test_config_overrides_duration(self, harness):
         res = harness.run(Iperf3Options(duration=9999))
         assert res.runs[0].run.duration == pytest.approx(6.0)

@@ -244,34 +244,30 @@ class TestTimeoutPathParity:
     ]
 
     @staticmethod
-    def _kernel(name, ccs):
+    def _kernel(name, kinds):
+        mss = 8960.0
         if name == "scalar":
             return ScalarKernel(
-                ccs, [], [],
+                kinds, mss, [], [],
                 run_noise=1.0, snd_app_share=1.0, rcv_app_share=1.0,
                 rcv_irq_share=1.0, budget_rx=1.0, agg_rx_base=1.0,
             )
         # Only the congestion hooks are under test; skip the CPU cost
-        # half of ``_bind`` (it needs real cost models).
+        # half of the constructor (it needs real cost models).
         from repro.tcp.cc.batch import CcBatch
 
         kern = VectorKernel.__new__(VectorKernel)
-        kern.batch = CcBatch(ccs)
+        kern.batch = CcBatch(kinds, mss)
         kern.cwnd = kern.batch.cwnd
         return kern
 
-    def test_timeout_schedule_bit_identical(self):
-        from repro.tcp.cc import make_cc
-
-        n = len(self.KINDS)
-        mss = 8960.0
-        kernels = {
-            name: self._kernel(name, [make_cc(k, mss=mss) for k in self.KINDS])
-            for name in ("scalar", "vector")
-        }
+    def _assert_schedule_bit_identical(self, kinds):
+        n = len(kinds)
+        kernels = {name: self._kernel(name, kinds) for name in ("scalar", "vector")}
         rng = np.random.default_rng(17)
         now, dt, rtt = 0.0, 0.008, 0.054
         max_window = 64 * 1024 * 1024.0
+        pace_eff = np.full(n, 1e10)
         for step in range(800):
             now += dt
             cwnd = kernels["scalar"].cwnd
@@ -281,15 +277,31 @@ class TestTimeoutPathParity:
             to_idx = np.nonzero(rng.random(n) < 0.004)[0]
             reports = {}
             for name, kern in kernels.items():
+                pace = kern.pacing(rtt, pace_eff).tolist()
                 losses = kern.cc_feedback(
                     now, dt, rtt, delivered, loss_idx, al_mask, max_window
                 )
                 timeouts = kern.cc_timeout(now, to_idx)
-                reports[name] = (losses, timeouts)
+                reports[name] = (pace, losses, timeouts)
             assert reports["scalar"] == reports["vector"], step
             assert np.array_equal(
                 kernels["scalar"].cwnd, kernels["vector"].cwnd
             ), step
+
+    def test_timeout_schedule_bit_identical(self):
+        self._assert_schedule_bit_identical(self.KINDS)
+
+    def test_bbr_beside_a_cubic_stepper_bit_identical(self):
+        """BBR's objects and an array-stepped cubic group in one batch."""
+        from repro.tcp.cc import Cubic
+        from repro.tcp.cc.batch import _ObjectGroup
+
+        kinds = ["cubic"] * OBJECT_LANES
+        kinds[3:3] = ["bbr1"]
+        groups = self._kernel("vector", kinds).batch._groups
+        assert [type(g) for g in groups] == [Cubic.batch_group, _ObjectGroup]
+        assert groups[1].idx.tolist() == [3]
+        self._assert_schedule_bit_identical(kinds)
 
 
 class TestExperimentDigestParity:
@@ -345,13 +357,23 @@ class TestSelection:
 
     def test_make_kernel_rejects_unknown(self):
         with pytest.raises(ConfigurationError):
-            make_kernel("cuda")
+            make_kernel("cuda", ["cubic"], 8960.0, [], [])
 
-    def test_make_kernel_dispatch(self):
-        from repro.sim import kernels
+    def test_make_kernel_dispatch(self, monkeypatch):
+        from repro.sim.flowsim import RunSetup
 
-        assert kernels._KERNELS == {
-            "scalar": ScalarKernel,
-            "vector": VectorKernel,
-        }
-        assert set(KERNEL_NAMES) == set(kernels._KERNELS)
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        tb = AmLightTestbed(kernel="6.8")
+        rng = RngFactory(0)
+        setup = RunSetup(
+            *tb.host_pair(), tb.path("lan"), [(FlowSpec(), 2)], PROFILE,
+            rng=rng, rep=0, jitter_rng=rng.stream("hostjitter", 0),
+            place_rng=rng.stream("placement", 0),
+            bg_rng=rng.stream("background", 0), context="test",
+        )
+        kernels = {"scalar": ScalarKernel, "vector": VectorKernel}
+        assert set(KERNEL_NAMES) == set(kernels)
+        for name, cls in kernels.items():
+            assert type(setup.kernel(0, 2, name)) is cls
+            with forced_kernel(name):
+                assert type(setup.kernel(0, 2, None)) is cls

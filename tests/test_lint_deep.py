@@ -73,7 +73,6 @@ FILE_CASES = [
     ("SHARD001", "shard/pos_loop_dict.py", 1),
     ("SHARD001", "shard/pos_param_write.py", 1),
     ("SHARD001", "shard/pos_out_kwarg.py", 1),
-    ("SHARD001", "shard/driver/repro/sim/flowsim.py", 1),
     ("SHARD001", "shard/neg_sorted.py", 0),
     ("SHARD001", "shard/neg_list_reduce.py", 0),
     ("SHARD001", "shard/neg_fresh_array.py", 0),
