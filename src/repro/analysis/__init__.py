@@ -4,16 +4,11 @@ from repro.analysis.charts import BarChart, chart_from_result
 from repro.analysis.paper import PAPER_CLAIMS, PaperClaim, claims_for
 from repro.analysis.report import build_experiments_md, result_to_markdown
 from repro.analysis.stats import Summary, ratio, summarize, within
-from repro.analysis.sweep import SweepPoint, SweepResult, sweep1d, sweep2d
 
 __all__ = [
     "Summary",
     "BarChart",
     "chart_from_result",
-    "SweepPoint",
-    "SweepResult",
-    "sweep1d",
-    "sweep2d",
     "summarize",
     "ratio",
     "within",

@@ -1,4 +1,4 @@
-"""Core simulation primitives: event engine, processes, units, RNG."""
+"""Core simulation primitives: event engine, errors, units, RNG."""
 
 from repro.core.engine import Engine, Event
 from repro.core.errors import (
@@ -8,14 +8,11 @@ from repro.core.errors import (
     ReproError,
     SimulationError,
 )
-from repro.core.process import Process, Signal
 from repro.core.rng import RngFactory
 
 __all__ = [
     "Engine",
     "Event",
-    "Process",
-    "Signal",
     "RngFactory",
     "ReproError",
     "ConfigurationError",

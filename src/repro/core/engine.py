@@ -12,8 +12,8 @@ Design notes
   events run in schedule order, which keeps runs deterministic.
 * Time is a float in seconds.  The engine refuses to schedule into the
   past; that is always a bug in the caller.
-* Callbacks are plain callables.  The generator-based process layer in
-  :mod:`repro.core.process` builds coroutine-style processes on top.
+* Callbacks are plain callables; a caller that needs a sequence of steps
+  schedules the next one from inside the current callback.
 * The engine is deliberately single-threaded: determinism and
   reproducibility matter more here than parallel speedup, and the hot
   paths of the package (the fluid simulator) are vectorized with numpy

@@ -1,4 +1,4 @@
-"""Testbed topology graphs (networkx-backed).
+"""Testbed topology graphs (dict adjacency, Dijkstra routing).
 
 The fluid simulator only needs the per-path summary
 (:class:`repro.net.path.NetworkPath`), but the testbeds are documented
@@ -6,14 +6,16 @@ as full graphs so that paths are *derived* rather than hand-entered:
 nodes are hosts/switches, edges carry link attributes, and
 :meth:`Topology.path_between` computes the bottleneck, the RTT (sum of
 edge delays, both directions), and the minimum shared-buffer switch
-along the way — mirroring Figs. 1 and 2 of the paper.
+along the way — mirroring Figs. 1 and 2 of the paper.  The graphs have
+a handful of nodes, so plain dicts and a ``heapq`` Dijkstra route them.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Any
 
 from repro.core import units
 from repro.core.errors import ConfigurationError
@@ -27,16 +29,22 @@ __all__ = ["Topology"]
 
 @dataclass
 class Topology:
-    """A named testbed graph."""
+    """A named testbed graph: node attributes and a symmetric adjacency."""
 
     name: str
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    #: ``{node: {"kind": "host" | "switch", "model": SwitchModel}}``.
+    nodes: dict[str, dict[str, Any]] = field(default_factory=dict)
+    #: ``{a: {b: edge}}`` with ``adj[a][b] is adj[b][a]``; an edge holds
+    #: ``rate`` and ``admin`` (bytes/s, admin may be None) and ``delay`` (s).
+    adj: dict[str, dict[str, dict[str, Any]]] = field(default_factory=dict)
 
     def add_host(self, name: str) -> None:
-        self.graph.add_node(name, kind="host")
+        self.nodes[name] = {"kind": "host"}
+        self.adj.setdefault(name, {})
 
     def add_switch(self, name: str, model: SwitchModel) -> None:
-        self.graph.add_node(name, kind="switch", model=model)
+        self.nodes[name] = {"kind": "switch", "model": model}
+        self.adj.setdefault(name, {})
 
     def add_link(
         self,
@@ -47,15 +55,44 @@ class Topology:
         admin_limit_gbps: float | None = None,
     ) -> None:
         for node in (a, b):
-            if node not in self.graph:
+            if node not in self.nodes:
                 raise ConfigurationError(f"unknown node {node!r} in {self.name}")
-        self.graph.add_edge(
-            a,
-            b,
-            rate=units.gbps(gbps_value),
-            delay=units.ms(delay_ms),
-            admin=units.gbps(admin_limit_gbps) if admin_limit_gbps is not None else None,
-        )
+        self.adj[a][b] = self.adj[b][a] = {
+            "rate": units.gbps(gbps_value),
+            "delay": units.ms(delay_ms),
+            "admin": units.gbps(admin_limit_gbps) if admin_limit_gbps is not None else None,
+        }
+
+    def route(self, src: str, dst: str) -> list[str]:
+        """Nodes of the lowest-delay route from ``src`` to ``dst``, both included.
+
+        Dijkstra over ``adj``; equal-delay candidates resolve to the one
+        reached first, in link insertion order.
+        """
+        if src not in self.nodes or dst not in self.nodes:
+            raise ConfigurationError(f"no route {src!r}->{dst!r} in {self.name}")
+        if src == dst:
+            raise ConfigurationError("src and dst are the same node")
+        dist = {src: 0.0}
+        prev: dict[str, str] = {}
+        order = itertools.count()
+        heap = [(0.0, next(order), src)]
+        while heap:
+            d, _, node = heapq.heappop(heap)
+            if node == dst:
+                route = [dst]
+                while route[-1] != src:
+                    route.append(prev[route[-1]])
+                return route[::-1]
+            if d > dist[node]:
+                continue  # a stale entry: node was reached cheaper since
+            for nbr, edge in self.adj[node].items():
+                nd = d + edge["delay"]
+                if nbr not in dist or nd < dist[nbr]:
+                    dist[nbr] = nd
+                    prev[nbr] = node
+                    heapq.heappush(heap, (nd, next(order), nbr))
+        raise ConfigurationError(f"no route {src!r}->{dst!r} in {self.name}")
 
     # ------------------------------------------------------------------
 
@@ -68,30 +105,17 @@ class Topology:
         flow_control: bool = False,
     ) -> NetworkPath:
         """Derive the NetworkPath along the shortest (by delay) route."""
-        try:
-            route = nx.shortest_path(self.graph, src, dst, weight="delay")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise ConfigurationError(f"no route {src!r}->{dst!r} in {self.name}") from exc
+        route = self.route(src, dst)
+        edges = [self.adj[a][b] for a, b in zip(route, route[1:])]
 
-        edges = list(zip(route, route[1:]))
-        if not edges:
-            raise ConfigurationError("src and dst are the same node")
-
-        one_way_delay = sum(self.graph.edges[e]["delay"] for e in edges)
-        rates = [self.graph.edges[e]["rate"] for e in edges]
-        admins = [
-            self.graph.edges[e]["admin"]
-            for e in edges
-            if self.graph.edges[e]["admin"] is not None
-        ]
-        bottleneck_rate = min(rates)
+        one_way_delay = sum(e["delay"] for e in edges)
+        bottleneck_rate = min(e["rate"] for e in edges)
+        admins = [e["admin"] for e in edges if e["admin"] is not None]
         admin = min(admins) if admins else None
 
         # The binding switch: smallest shared buffer among transit switches.
         transit_switches = [
-            self.graph.nodes[n]["model"]
-            for n in route[1:-1]
-            if self.graph.nodes[n].get("kind") == "switch"
+            self.nodes[n]["model"] for n in route[1:-1] if self.nodes[n]["kind"] == "switch"
         ]
         if transit_switches:
             switch = min(transit_switches, key=lambda s: s.shared_buffer_bytes)
@@ -115,8 +139,8 @@ class Topology:
 
     @property
     def hosts(self) -> list[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == "host"]
+        return [n for n, d in self.nodes.items() if d["kind"] == "host"]
 
     @property
     def switches(self) -> list[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == "switch"]
+        return [n for n, d in self.nodes.items() if d["kind"] == "switch"]

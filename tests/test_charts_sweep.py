@@ -1,11 +1,8 @@
-"""Chart rendering and sweep utilities."""
+"""Chart rendering."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.charts import BarChart, chart_from_result
-from repro.analysis.sweep import sweep1d, sweep2d
 from repro.experiments.base import ExperimentResult
 
 
@@ -45,69 +42,3 @@ class TestBarChart:
         assert "Figure 5" in chart.title
         assert chart.bars[0] == ("lan", "default", 52.0, 0.5)
 
-
-class TestSweep:
-    def test_sweep1d(self):
-        res = sweep1d("s", "x", [1, 2, 3], lambda x: {"y": float(x * x)})
-        assert res.column("x") == [1, 2, 3]
-        assert res.column("y") == [1.0, 4.0, 9.0]
-        assert res.best("y").params["x"] == 3
-        assert res.best("y", maximize=False).params["x"] == 1
-
-    def test_sweep2d_cross_product(self):
-        res = sweep2d("s", "a", [1, 2], "b", [10, 20, 30],
-                      lambda a, b: {"sum": float(a + b)})
-        assert len(res.points) == 6
-        assert res.best("sum").metrics["sum"] == 32.0
-
-    def test_render(self):
-        res = sweep1d("optmem sweep", "optmem", [20480, 1048576],
-                      lambda optmem: {"gbps": optmem / 1e6})
-        text = res.render()
-        assert "optmem sweep" in text
-        assert "20480" in text and "1.05" in text
-
-    def test_render_empty(self):
-        from repro.analysis.sweep import SweepResult
-
-        assert "empty" in SweepResult("x").render()
-
-    def test_render_heterogeneous_keys(self):
-        """Regression: points with differing param/metric keys must not
-        KeyError — headers are the first-seen union, gaps render empty."""
-        from repro.analysis.sweep import SweepPoint, SweepResult
-
-        res = SweepResult("mixed", points=[
-            SweepPoint(params={"x": 1}, metrics={"gbps": 10.0}),
-            SweepPoint(params={"x": 2, "mtu": 9000},
-                       metrics={"gbps": 20.0, "retr": 3}),
-            SweepPoint(params={"x": 3}, metrics={"retr": 7}),
-        ])
-        text = res.render()
-        header = text.splitlines()[1]
-        for col in ("x", "mtu", "gbps", "retr"):
-            assert col in header
-        assert "9000" in text and "20.00" in text and "7" in text
-        # every data row has the full column count despite missing keys
-        rows = text.splitlines()[3:]
-        assert all(row.count("|") == header.count("|") for row in rows)
-
-    def test_sweep_with_simulator(self):
-        """End to end: pacing sweep through the real simulator."""
-        from repro.core.rng import RngFactory
-        from repro.testbeds.amlight import AmLightTestbed
-        from repro.tools.iperf3 import Iperf3, Iperf3Options
-
-        tb = AmLightTestbed(kernel="6.8")
-        snd, rcv = tb.host_pair()
-        tool = Iperf3(snd, rcv, tb.path("lan"), rng=RngFactory(1), tick=0.006)
-
-        def measure(pace):
-            res = tool.run(Iperf3Options(duration=5, omit=1.5, fq_rate_gbps=pace,
-                                         zerocopy="z"))
-            return {"gbps": res.gbps}
-
-        res = sweep1d("pacing", "pace", [10.0, 20.0, 30.0], measure)
-        values = res.column("gbps")
-        assert values[0] == pytest.approx(10, rel=0.05)
-        assert values == sorted(values)

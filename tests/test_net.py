@@ -226,6 +226,33 @@ class TestTopology:
         with pytest.raises(ConfigurationError):
             topo.add_link("a", "nowhere", 100)
 
+    def test_unknown_source(self):
+        with pytest.raises(ConfigurationError):
+            self.build().path_between("nowhere", "b")
+
+    def test_same_node(self):
+        with pytest.raises(ConfigurationError):
+            self.build().path_between("a", "a")
+
+    def test_disconnected_components(self):
+        topo = self.build()
+        topo.add_host("c")
+        topo.add_host("d")
+        topo.add_link("c", "d", 100, delay_ms=1.0)
+        with pytest.raises(ConfigurationError):
+            topo.path_between("a", "d")
+
+    def test_lower_delay_route_beats_direct_edge(self):
+        topo = self.build()
+        topo.add_link("a", "b", 100, delay_ms=10.0)
+        assert topo.route("a", "b") == ["a", "b"]
+        topo = self.build()
+        topo.add_link("a", "b", 400, delay_ms=60.0)
+        assert topo.route("a", "b") == ["a", "s1", "s2", "b"]
+        path = topo.path_between("a", "b")
+        assert path.rtt_ms == pytest.approx(54.1, abs=0.1)
+        assert path.switch.model.startswith("NoviFlow")
+
     def test_hosts_and_switches_listing(self):
         topo = self.build()
         assert sorted(topo.hosts) == ["a", "b"]

@@ -82,3 +82,49 @@ class TestESnet:
     def test_unknown_path(self):
         with pytest.raises(ConfigurationError):
             ESnetTestbed().path("metro")
+
+
+#: (testbed, path, src, dst, route, rtt_sec, bottleneck rate, binding switch).
+#: Pinned so that a change to how the topology finds its shortest routes
+#: cannot move a testbed path or a number derived from it.
+PINNED_ROUTES = [
+    (AmLightTestbed, "lan", "dtn-miami-a", "dtn-miami-b",
+     ["dtn-miami-a", "sw-miami", "dtn-miami-b"],
+     0.0002, 12500000000.0, "NoviFlow WB-5132D-E"),
+    (AmLightTestbed, "wan25", "dtn-miami-a", "dtn-fortaleza",
+     ["dtn-miami-a", "sw-miami", "sw-fortaleza", "dtn-fortaleza"],
+     0.025099999999999997, 12500000000.0, "NoviFlow WB-5132D-E"),
+    (AmLightTestbed, "wan54", "dtn-miami-a", "dtn-saopaulo",
+     ["dtn-miami-a", "sw-miami", "sw-saopaulo", "dtn-saopaulo"],
+     0.0541, 12500000000.0, "NoviFlow WB-5132D-E"),
+    (AmLightTestbed, "wan104", "dtn-miami-a", "dtn-santiago",
+     ["dtn-miami-a", "sw-miami", "sw-saopaulo", "sw-santiago", "dtn-santiago"],
+     0.104, 12500000000.0, "NoviFlow WB-5132D-E"),
+    (ESnetTestbed, "lan", "dtn-a", "dtn-b",
+     ["dtn-a", "sw-testbed", "dtn-b"],
+     0.00012, 25000000000.0, "Edgecore AS9716-32D"),
+    (ESnetTestbed, "wan", "dtn-a", "dtn-wan",
+     ["dtn-a", "sw-testbed", "sw-wan", "dtn-wan"],
+     0.047, 25000000000.0, "Edgecore AS9716-32D"),
+]
+
+
+class TestPinnedRoutes:
+    def test_every_path_is_pinned(self):
+        pinned = [(tb, name) for tb, name, *_ in PINNED_ROUTES]
+        have = [(AmLightTestbed, p.name) for p in AmLightTestbed(kernel="6.8").paths()]
+        have += [(ESnetTestbed, p.name) for p in ESnetTestbed().paths()]
+        assert pinned == have
+
+    @pytest.mark.parametrize(
+        "testbed, name, src, dst, route, rtt_sec, rate, switch",
+        PINNED_ROUTES,
+        ids=[f"{tb.__name__}-{name}" for tb, name, *_ in PINNED_ROUTES],
+    )
+    def test_route_and_derived_path(self, testbed, name, src, dst, route, rtt_sec, rate, switch):
+        tb = testbed()
+        assert tb.topology.route(src, dst) == route
+        path = tb.path(name)
+        assert path.rtt_sec == rtt_sec  # exact: the delays sum in route order
+        assert path.bottleneck.rate_bytes_per_sec == rate
+        assert path.switch.model == switch
